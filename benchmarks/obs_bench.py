@@ -13,9 +13,10 @@ conjunction, 25 user-predicate calls per run) three ways:
     A ``StreamingRecorder`` attached with its default sampling
     (1-in-64 past the rare-predicate threshold). This is the mode the
     overhead budget applies to.
-``bus``
-    The exhaustive PR-1 ``EventBus`` — for contrast, not gated; it
-    shows what "trace everything" costs and why sampling exists.
+``full_rate``
+    A ``StreamingRecorder(sample_every=1)``: every Byrd box recorded,
+    the exhaustive mode ``repro profile`` uses. For contrast, not gated;
+    it shows what "trace everything" costs and why sampling exists.
 
 Overhead is the **minimum of per-repeat sandwiched ratios**: every
 instrumented pass is flanked by two disabled windows and compared
@@ -45,7 +46,6 @@ import platform
 import sys
 import time
 
-from repro.observability import attach, detach
 from repro.observability.streaming import StreamingRecorder, attach_recorder, detach_recorder
 from repro.prolog import Engine, parse_term
 
@@ -85,7 +85,7 @@ def time_mode(engine, goal, seconds):
 def measure(min_seconds, repeats):
     """One overhead measurement: min of per-repeat sandwiched ratios.
 
-    Each repeat times streaming and bus between two disabled windows
+    Each repeat times streaming and full-rate between two disabled windows
     (the trailing window doubles as the next repeat's leading one), so
     CPU frequency drift hits all modes equally. A repeat's baseline is
     the *faster* flank — a descheduled disabled window cannot deflate
@@ -95,9 +95,9 @@ def measure(min_seconds, repeats):
     quantity is the ratio).
     """
     engine, goal = build_engine()
-    best = {"disabled": 0.0, "streaming": 0.0, "bus": 0.0}
+    best = {"disabled": 0.0, "streaming": 0.0, "full_rate": 0.0}
     stream_ratios = []
-    bus_ratios = []
+    full_rate_ratios = []
     disabled_ops = time_mode(engine, goal, min_seconds)
     for _ in range(repeats):
         best["disabled"] = max(best["disabled"], disabled_ops)
@@ -107,16 +107,15 @@ def measure(min_seconds, repeats):
         best["streaming"] = max(best["streaming"], streaming_ops)
         detach_recorder(engine)
 
-        bus = attach(engine)
-        bus_ops = time_mode(engine, goal, min_seconds)
-        best["bus"] = max(best["bus"], bus_ops)
-        detach(engine)
-        bus.clear()
+        attach_recorder(engine, StreamingRecorder(sample_every=1))
+        full_rate_ops = time_mode(engine, goal, min_seconds)
+        best["full_rate"] = max(best["full_rate"], full_rate_ops)
+        detach_recorder(engine)
 
         trailing_ops = time_mode(engine, goal, min_seconds)
         baseline_ops = max(disabled_ops, trailing_ops)
         stream_ratios.append(baseline_ops / streaming_ops)
-        bus_ratios.append(baseline_ops / bus_ops)
+        full_rate_ratios.append(baseline_ops / full_rate_ops)
         disabled_ops = trailing_ops
     best["disabled"] = max(best["disabled"], disabled_ops)
 
@@ -133,7 +132,7 @@ def measure(min_seconds, repeats):
     detach_recorder(engine)
 
     overhead_pct = (min(stream_ratios) - 1.0) * 100.0
-    bus_overhead_pct = (min(bus_ratios) - 1.0) * 100.0
+    full_rate_overhead_pct = (min(full_rate_ratios) - 1.0) * 100.0
     return {
         "schema": SCHEMA,
         "python": platform.python_version(),
@@ -141,7 +140,7 @@ def measure(min_seconds, repeats):
         "max_overhead_pct": MAX_OVERHEAD_PCT,
         "ops_per_sec": {name: round(ops, 1) for name, ops in best.items()},
         "overhead_pct": round(overhead_pct, 2),
-        "bus_overhead_pct": round(bus_overhead_pct, 2),
+        "full_rate_overhead_pct": round(full_rate_overhead_pct, 2),
         "counters": counters,
     }
 
@@ -209,7 +208,7 @@ def main(argv=None):
     print(
         f"streaming overhead: {results['overhead_pct']}% "
         f"(budget {results['max_overhead_pct']}%); "
-        f"bus overhead: {results['bus_overhead_pct']}%"
+        f"full-rate overhead: {results['full_rate_overhead_pct']}%"
     )
     print(
         f"counters: {results['counters']['calls']} calls, "

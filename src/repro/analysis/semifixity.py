@@ -34,10 +34,9 @@ from ..prolog.terms import (
     Term,
     Var,
     deref,
-    functor_indicator,
     term_variables,
 )
-from .callgraph import CallGraph, iter_called_goals
+from .callgraph import CallGraph
 
 __all__ = ["SemifixityAnalysis"]
 
@@ -52,24 +51,8 @@ def _builtin_culprits() -> Dict[Indicator, Set[int]]:
     return culprits
 
 
-def _semifix_goals(body: Term):
-    """Goals of a body for culprit collection.
-
-    Unlike :func:`~repro.analysis.callgraph.iter_called_goals`, this
-    yields negation / meta-call / set-predicate goals *whole* — their
-    semifixity flag lives on the wrapper, and its culprit variables are
-    the variables of the wrapped goal — while still descending into
-    plain conjunction/disjunction/if-then-else structure.
-    """
-    stack = [body]
-    while stack:
-        goal = deref(stack.pop())
-        if isinstance(goal, Struct) and goal.arity == 2 and goal.name in (",", ";", "->"):
-            stack.append(goal.args[1])
-            stack.append(goal.args[0])
-            continue
-        if isinstance(goal, (Atom, Struct)):
-            yield goal
+def _is_control(goal: Term) -> bool:
+    return isinstance(goal, Struct) and goal.arity == 2 and goal.name in (",", ";", "->")
 
 
 def _has_cut(body: Term) -> bool:
@@ -172,10 +155,7 @@ class SemifixityAnalysis:
         head = deref(clause.head)
         if not isinstance(head, Struct):
             return set()
-        culprit_vars = {
-            id(v) for goal in _semifix_goals(clause.body)
-            for v in self.culprit_variables(goal)
-        }
+        culprit_vars = {id(v) for v in self.culprit_variables(clause.body)}
         if not culprit_vars:
             return set()
         positions: Set[int] = set()
@@ -195,20 +175,50 @@ class SemifixityAnalysis:
         return bool(self.culprits.get(indicator))
 
     def culprit_variables(self, goal: Term) -> List[Var]:
-        """The variables in culprit positions of this goal."""
+        """The variables in culprit positions of this goal.
+
+        A control compound (``,``, ``;``, ``->``) has the culprits of
+        the goals inside it plus every variable of an if-then-else
+        condition: the condition commits to its first solution, just
+        as ``once/1`` does (Table I). Negation, meta-call and
+        set-predicate goals count whole — their semifixity flag lives
+        on the wrapper, and its culprit variables are the variables of
+        the wrapped goal.
+        """
         goal = deref(goal)
-        if not isinstance(goal, (Atom, Struct)):
+        if not isinstance(goal, Struct):
             return []
-        indicator = functor_indicator(goal)
-        positions = self.culprits.get(indicator)
-        if not positions or isinstance(goal, Atom):
+        if _is_control(goal):
+            return _unique(self._control_culprits(goal))
+        positions = self.culprits.get((goal.name, goal.arity))
+        if not positions:
             return []
-        variables: List[Var] = []
-        seen: Set[int] = set()
-        for index in sorted(positions):
-            if index <= goal.arity:
-                for variable in term_variables(goal.args[index - 1]):
-                    if id(variable) not in seen:
-                        seen.add(id(variable))
-                        variables.append(variable)
-        return variables
+        return _unique(
+            variable
+            for index in sorted(positions)
+            if index <= goal.arity
+            for variable in term_variables(goal.args[index - 1])
+        )
+
+    def _control_culprits(self, body: Term):
+        stack = [body]
+        while stack:
+            goal = deref(stack.pop())
+            if _is_control(goal):
+                if goal.name == "->":
+                    yield from term_variables(goal.args[0])
+                stack.append(goal.args[1])
+                stack.append(goal.args[0])
+            else:
+                yield from self.culprit_variables(goal)
+
+
+def _unique(variables) -> List[Var]:
+    """Variables in first-occurrence order, each once."""
+    seen: Set[int] = set()
+    unique: List[Var] = []
+    for variable in variables:
+        if id(variable) not in seen:
+            seen.add(id(variable))
+            unique.append(variable)
+    return unique

@@ -11,9 +11,10 @@ input and ... receive a reordered, improved program as output"):
   count;
 * ``compare FILE QUERY`` — run a query on both the original and the
   reordered program and report the improvement ratio;
-* ``profile FILE QUERY`` — run a query fully instrumented (event bus,
-  pipeline spans, search counters, calibration drift) and export the
-  telemetry as JSONL (see docs/OBSERVABILITY.md);
+* ``profile FILE QUERY`` — run a query fully instrumented (full-rate
+  recorder, structural event bus, pipeline spans, search counters,
+  calibration drift) and export the telemetry as JSONL (see
+  docs/OBSERVABILITY.md);
 * ``serve FILE`` — long-lived concurrent query server with snapshot
   isolation and admission control (see docs/SERVING.md);
 * ``client ADDRESS OP`` — one request against a running server;
@@ -227,26 +228,43 @@ def command_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_profile_summary(bus, metrics) -> None:
+def _instrument(engine, follow: bool = False):
+    """Attach a recorder and the structural event bus to ``engine``.
+
+    The recorder records every Byrd box; ``follow`` selects its
+    default sampling instead and leaves the bus off, keeping memory
+    bounded for long runs. Returns ``(bus, recorder)``.
+    """
+    from .observability import attach
+    from .observability.streaming import StreamingRecorder, attach_recorder
+
+    if follow:
+        return None, attach_recorder(engine, StreamingRecorder())
+    recorder = attach_recorder(engine, StreamingRecorder(sample_every=1))
+    return attach(engine), recorder
+
+
+def _print_profile_summary(bus, recorder, metrics) -> None:
     """Human-readable telemetry summary to stderr."""
-    counts = bus.counts()
-    ports = ", ".join(
-        f"{port}={counts.get(f'port.{port}', 0)}"
-        for port in ("call", "exit", "redo", "fail")
-    )
-    print(f"% events  : {len(bus)} ({ports})", file=sys.stderr)
-    if bus.truncated:
-        print(f"% events  : {bus.dropped} dropped (limit {bus.limit})",
-              file=sys.stderr)
-    index_events = bus.by_kind("index")
-    if index_events:
-        hits = sum(1 for e in index_events if e.hit)
-        narrowed = sum(1 for e in index_events if e.candidates < e.total)
-        print(
-            f"% index   : {len(index_events)} lookups, {hits} keyed, "
-            f"{narrowed} narrowed",
-            file=sys.stderr,
+    if bus is not None:
+        kinds = ", ".join(
+            f"{kind}={count}"
+            for kind, count in sorted(bus.counts().items())
+            if "." not in kind
         )
+        print(f"% events  : {len(bus)} ({kinds})", file=sys.stderr)
+        if bus.truncated:
+            print(f"% events  : {bus.dropped} dropped (limit {bus.limit})",
+                  file=sys.stderr)
+        index_events = bus.by_kind("index")
+        if index_events:
+            hits = sum(1 for e in index_events if e.hit)
+            narrowed = sum(1 for e in index_events if e.candidates < e.total)
+            print(
+                f"% index   : {len(index_events)} lookups, {hits} keyed, "
+                f"{narrowed} narrowed",
+                file=sys.stderr,
+            )
     if metrics.table_hits or metrics.table_misses:
         print(
             f"% tables  : {metrics.table_hits} hits, "
@@ -255,7 +273,10 @@ def _print_profile_summary(bus, metrics) -> None:
             f"{metrics.tables_completed} completed",
             file=sys.stderr,
         )
-    wall = bus.predicate_wall_seconds()
+    print(f"% boxes   : {recorder.summary_lines(top=0)[0]}", file=sys.stderr)
+    wall = {}
+    for (indicator, _mode), aggregate in recorder.aggregates.items():
+        wall[indicator] = wall.get(indicator, 0.0) + aggregate.wall.total
     by_calls = sorted(
         metrics.calls_by_predicate.items(), key=lambda item: -item[1]
     )[:8]
@@ -283,11 +304,9 @@ def command_run(args: argparse.Namespace) -> int:
         from .prolog.vm import disassemble_database
 
         print(disassemble_database(database), end="", file=sys.stderr)
-    bus = None
+    bus = recorder = None
     if args.profile or args.json:
-        from .observability import attach
-
-        bus = attach(engine)
+        bus, recorder = _instrument(engine)
     solutions, metrics = engine.run(args.query)
     for solution in solutions:
         bindings = ", ".join(
@@ -305,13 +324,14 @@ def command_run(args: argparse.Namespace) -> int:
         )
     if engine.output_text():
         print(f"% output: {engine.output_text()!r}")
-    if bus is not None and args.profile:
-        _print_profile_summary(bus, metrics)
-    if bus is not None and args.json:
+    if args.profile:
+        _print_profile_summary(bus, recorder, metrics)
+    if args.json:
         from .observability import (
             event_records,
             metrics_record,
             profile_header,
+            recorder_records,
             solutions_record,
             write_jsonl,
         )
@@ -319,11 +339,13 @@ def command_run(args: argparse.Namespace) -> int:
         records = [
             profile_header(
                 command="run", file=args.file, query=args.query,
-                dropped=bus.dropped, sampled_rate=1.0,
+                dropped=bus.dropped + recorder.dropped,
+                sampled_rate=recorder.sampled_rate(),
             )
         ]
         records.append(metrics_record(metrics))
         records.append(solutions_record(solutions))
+        records.extend(recorder_records(recorder))
         records.extend(event_records(bus))
         write_jsonl(records, args.json)
     return 0
@@ -414,12 +436,10 @@ def command_compare(args: argparse.Namespace) -> int:
     original_engine = Engine(
         database, table_all=args.table_all, eval_strategy=strategy
     )
-    original_bus = new_bus = None
+    original_bus = original_recorder = new_bus = new_recorder = None
     if args.profile or args.json:
-        from .observability import attach
-
-        original_bus = attach(original_engine)
-        new_bus = attach(new_engine)
+        original_bus, original_recorder = _instrument(original_engine)
+        new_bus, new_recorder = _instrument(new_engine)
     original_solutions, original, original_timeout = _compare_run(
         original_engine, args.query, args.timeout
     )
@@ -477,21 +497,22 @@ def command_compare(args: argparse.Namespace) -> int:
         print(f"answers  : {'identical set' if matches else 'DIFFER (bug!)'}")
     if args.json:
         from .observability import (
+            degenerate_record,
             event_records,
             metrics_record,
             profile_header,
+            recorder_records,
             report_records,
             solutions_record,
             write_jsonl,
         )
 
-        from .observability import degenerate_record
-
         records = [
             profile_header(
                 command="compare", file=args.file, query=args.query,
                 method=args.method,
-                dropped=original_bus.dropped + new_bus.dropped,
+                dropped=original_bus.dropped + new_bus.dropped
+                + original_recorder.dropped + new_recorder.dropped,
                 sampled_rate=1.0,
             )
         ]
@@ -525,14 +546,16 @@ def command_compare(args: argparse.Namespace) -> int:
             records.append(search.to_record())
         if report is not None:
             records.extend(report_records(report))
+        records.extend(recorder_records(original_recorder, run="original"))
         records.extend(event_records(original_bus, run="original"))
+        records.extend(recorder_records(new_recorder, run="reordered"))
         records.extend(event_records(new_bus, run="reordered"))
         write_jsonl(records, args.json)
     if args.profile:
         print("% original run:", file=sys.stderr)
-        _print_profile_summary(original_bus, original)
+        _print_profile_summary(original_bus, original_recorder, original)
         print("% reordered run:", file=sys.stderr)
-        _print_profile_summary(new_bus, new)
+        _print_profile_summary(new_bus, new_recorder, new)
     if any_timeout:
         return EXIT_RESOURCE
     return compare_exit_code(len(original_solutions), len(new_solutions), matches)
@@ -543,25 +566,26 @@ def command_profile(args: argparse.Namespace) -> int:
 
     Produces, in order: a header record, the ten pipeline span records,
     the goal-search counters, the reorder report, engine metrics, the
-    solution count, calibration-drift records, and the raw event
-    stream. A human summary goes to stderr.
+    solution count, calibration-drift records, the recorder's
+    per-(predicate, mode) ``stream`` aggregates and retained ``sample``
+    boxes, and the structural event stream. A human summary goes to
+    stderr.
 
-    With ``--follow`` the run uses the sampled streaming recorder
-    instead of the exhaustive event bus: a live per-predicate summary
-    refreshes on stderr while the query runs, drift comes from the
-    continuous :class:`DriftMonitor`, and the JSONL stream carries
-    ``stream``/``sample`` records instead of raw events. ``--trace``
-    additionally writes a Chrome/Perfetto trace-event file from the
-    pipeline spans plus the Byrd boxes (bus windows, or sampled boxes
-    under ``--follow``).
+    The query runs under a full-rate recorder (every Byrd box
+    measured). ``--follow`` switches it to the recorder's default
+    sampling and refreshes a live per-predicate summary on stderr
+    while the query runs. ``--trace`` additionally writes a
+    Chrome/Perfetto trace-event file from the pipeline spans plus the
+    recorded boxes.
     """
     from .analysis.calibration import CalibrationOptions, EmpiricalCalibrator
     from .observability import (
         PIPELINE_PHASES,
-        attach,
+        detach,
         event_records,
         metrics_record,
         profile_header,
+        recorder_records,
         report_records,
         solutions_record,
         write_jsonl,
@@ -607,18 +631,14 @@ def command_profile(args: argparse.Namespace) -> int:
         )
     spans.ensure(PIPELINE_PHASES)
     # 3. The instrumented run itself (on the original program: that is
-    #    what the model's predictions describe). ``--follow`` swaps the
-    #    exhaustive event bus for the sampled streaming recorder and
-    #    refreshes a live summary while the query runs.
+    #    what the model's predictions describe). ``--follow`` samples
+    #    and refreshes a live summary while the query runs.
     engine = Engine(database, table_all=args.table_all, budget=budget)
-    bus = None
-    recorder = None
+    bus, recorder = _instrument(engine, follow=args.follow)
+    stop = ticker = None
     if args.follow:
         import threading
 
-        from .observability.streaming import attach_recorder
-
-        recorder = attach_recorder(engine)
         stop = threading.Event()
 
         def _tick() -> None:
@@ -628,93 +648,51 @@ def command_profile(args: argparse.Namespace) -> int:
 
         ticker = threading.Thread(target=_tick, daemon=True)
         ticker.start()
-        try:
-            solutions, metrics = engine.run(args.query)
-        finally:
+    try:
+        solutions, metrics = engine.run(args.query)
+    finally:
+        detach(engine)
+        if ticker is not None:
             stop.set()
             ticker.join(timeout=1.0)
-    else:
-        bus = attach(engine)
-        try:
-            solutions, metrics = engine.run(args.query)
-        finally:
-            database.events = None
-    # 4. Predicted-vs-observed drift: replayed from the event stream,
-    #    or fed continuously from the streaming aggregates.
-    drift = []
-    drift_events = []
-    if recorder is not None:
-        from .observability.streaming.monitor import DriftMonitor
-
-        monitor = DriftMonitor(
-            database, DriftOptions(cost_factor=args.drift_factor)
-        )
-        drift_events = monitor.feed(recorder.aggregates)
-    else:
-        reporter = DriftReporter(
-            database, DriftOptions(cost_factor=args.drift_factor)
-        )
-        drift = reporter.report(bus=bus)
+    # 4. Predicted-vs-observed drift from the recorder's aggregates.
+    drift = DriftReporter(
+        database, DriftOptions(cost_factor=args.drift_factor)
+    ).report(aggregates=recorder.aggregates)
 
     print(f"% profile : {args.file} ?- {args.query}", file=sys.stderr)
     print(f"% answers : {len(solutions)} solution(s), {metrics.calls} calls",
           file=sys.stderr)
-    if bus is not None:
-        _print_profile_summary(bus, metrics)
-    else:
-        for line in recorder.summary_lines():
-            print(f"% stream  : {line}", file=sys.stderr)
+    _print_profile_summary(bus, recorder, metrics)
     print("% pipeline spans:", file=sys.stderr)
     for line in spans.format().splitlines():
         print(f"%{line}", file=sys.stderr)
-    if recorder is not None:
-        print(
-            f"% drift   : {len(drift_events)} (predicate, mode) pair(s) "
-            f"crossed the threshold (factor {args.drift_factor:g})",
-            file=sys.stderr,
-        )
-        for event in drift_events[: args.drift_top]:
-            scc = ", ".join(event.scc)
-            print(
-                f"%   {event.indicator[0]}/{event.indicator[1]} {event.mode}: "
-                f"{'; '.join(event.reasons)} [scc: {scc}]",
-                file=sys.stderr,
-            )
-    else:
-        flagged = [record for record in drift if record.flagged]
-        print(
-            f"% drift   : {len(flagged)}/{len(drift)} (predicate, mode) pairs "
-            f"flagged (factor {args.drift_factor:g})",
-            file=sys.stderr,
-        )
-        for record in drift[: args.drift_top]:
-            print(f"%   {record.format()}", file=sys.stderr)
+    flagged = [record for record in drift if record.flagged]
+    print(
+        f"% drift   : {len(flagged)}/{len(drift)} (predicate, mode) pairs "
+        f"flagged (factor {args.drift_factor:g})",
+        file=sys.stderr,
+    )
+    for record in drift[: args.drift_top]:
+        print(f"%   {record.format()}", file=sys.stderr)
 
     if args.json:
-        if recorder is not None:
-            header = profile_header(
+        records = [
+            profile_header(
                 command="profile", file=args.file, query=args.query,
-                dropped=recorder.dropped,
+                dropped=recorder.dropped + (bus.dropped if bus else 0),
                 sampled_rate=recorder.sampled_rate(),
             )
-        else:
-            header = profile_header(
-                command="profile", file=args.file, query=args.query,
-                dropped=bus.dropped, sampled_rate=1.0,
-            )
-        records = [header]
+        ]
         records.extend(spans.to_records())
         records.append(reorderer.search_counters.to_record())
         records.append(reorderer.context.counters_record())
         records.extend(report_records(program.report))
         records.append(metrics_record(metrics))
         records.append(solutions_record(solutions))
-        if recorder is not None:
-            records.extend(recorder.aggregates.to_records())
-            records.extend(sample.to_record() for sample in recorder.samples())
-            records.extend(event.to_record() for event in drift_events)
-        else:
-            records.extend(record.to_record() for record in drift)
+        records.extend(record.to_record() for record in drift)
+        records.extend(recorder_records(recorder))
+        if bus is not None:
             records.extend(event_records(bus))
         count = write_jsonl(records, args.json)
         if args.json != "-":
@@ -722,12 +700,7 @@ def command_profile(args: argparse.Namespace) -> int:
     if args.trace:
         from .observability.streaming.perfetto import write_trace
 
-        count = write_trace(
-            args.trace,
-            spans=spans,
-            bus=bus,
-            samples=recorder.samples() if recorder is not None else None,
-        )
+        count = write_trace(args.trace, spans=spans, samples=recorder.samples())
         print(f"% wrote {count} trace events to {args.trace}", file=sys.stderr)
     return 0
 

@@ -1,17 +1,20 @@
 """Observability: the telemetry substrate of the reproduction.
 
-Four layers, all optional and zero-overhead when unused:
+All optional and zero-overhead when unused:
 
-* :mod:`.events` — a typed event bus fed by the engine (Byrd ports,
-  unifications, choice points, per-predicate wall time) and the clause
-  database (index hits/misses);
+* :mod:`.streaming` — the per-call channel: ``engine.recorder`` holds a
+  :class:`~.streaming.recorder.StreamingRecorder` (sampled for
+  always-on use, ``sample_every=1`` for exhaustive profiling) whose
+  Byrd boxes feed mergeable per-(predicate, mode) aggregates, drift
+  monitoring and Perfetto export;
+* :mod:`.events` — a typed bus for the low-rate structural events
+  (index lookups, tables, strata, caches, budgets, faults, drift,
+  server requests);
 * :mod:`.spans`  — accumulating wall-clock timers over the ten
   reordering-pipeline phases;
 * :mod:`.drift`  — predicted-vs-observed statistics per (predicate,
-  mode), flagging where the Markov model needs calibration;
-* :mod:`.streaming` — the continuous layer: sampling ring-buffer
-  recorder, mergeable per-predicate aggregates, live drift monitoring,
-  Perfetto export (safe to leave attached under sustained load);
+  mode), read from the recorder's aggregates, flagging where the
+  Markov model needs calibration;
 * :mod:`.export` — JSONL serialization of all of the above.
 
 ``repro profile FILE QUERY --json out.jsonl`` drives everything from
@@ -26,24 +29,21 @@ themselves import :mod:`.events`; import them as
 
 from .events import (
     CacheEvent,
-    ChoicePointEvent,
+    DriftEvent,
     Event,
     EventBus,
     IndexEvent,
-    PortEvent,
-    PredicateTimeEvent,
     TableEvent,
-    UnifyEvent,
     attach,
     detach,
 )
-from .events import DriftEvent
 from .export import (
     SCHEMA_VERSION,
     degenerate_record,
     event_records,
     metrics_record,
     profile_header,
+    recorder_records,
     records_to_jsonl,
     report_records,
     solutions_record,
@@ -54,11 +54,7 @@ from .spans import PIPELINE_PHASES, Span, SpanRecorder
 __all__ = [
     "Event",
     "EventBus",
-    "PortEvent",
     "IndexEvent",
-    "ChoicePointEvent",
-    "UnifyEvent",
-    "PredicateTimeEvent",
     "TableEvent",
     "CacheEvent",
     "DriftEvent",
@@ -71,6 +67,7 @@ __all__ = [
     "degenerate_record",
     "profile_header",
     "event_records",
+    "recorder_records",
     "metrics_record",
     "solutions_record",
     "report_records",

@@ -2,26 +2,29 @@
 
 The Markov cost model predicts, per (predicate, calling mode), an
 expected exhaustive-exploration cost, an expected solution count, and a
-success probability (§VI-A-4). This module replays a query under event
-instrumentation and *measures* the same three quantities from the
-four-port stream, then reports every user predicate whose estimates
-diverge beyond a configurable factor — exactly the feedback loop the
-paper's §VIII asks for ("the reordering system should also estimate
-nearly all probabilities and costs on its own"): where the model
-drifts, empirical calibration (``:- cost`` declarations, or
+success probability (§VI-A-4). This module compares those predictions
+with the same three quantities *measured* by the streaming recorder
+(:mod:`repro.observability.streaming`), and reports every user
+predicate whose estimates diverge beyond a configurable factor —
+exactly the feedback loop the paper's §VIII asks for ("the reordering
+system should also estimate nearly all probabilities and costs on its
+own"): where the model drifts, empirical calibration (``:- cost``
+declarations, or
 :class:`~repro.analysis.calibration.EmpiricalCalibrator`) is worth its
 price.
 
-Observed statistics come from Byrd boxes. A box opens at its ``call``
-port, *pauses* at ``exit`` (control returns to the caller), *resumes*
-at ``redo`` and closes at ``fail``. Because the engine is depth-first,
-active boxes nest like a stack, so one linear pass over the stream can
-attribute every ``call`` event to all the boxes it executed inside:
+Observed statistics come from the recorder's Byrd boxes, folded into a
+:class:`~repro.observability.streaming.aggregate.ModeAggregate` per
+(predicate, runtime mode):
 
 * **cost** — 1 (the call itself) + calls made while the box is active,
   matching the engine's call-count metric per exhaustive exploration;
 * **solutions** — ``exit`` crossings of the box;
 * **success** — whether the box exited at least once.
+
+Boxes abandoned by cut, ``once`` or a solution limit count with
+whatever was observed before they closed. With ``sample_every=1`` every
+box is measured, so the numbers are exact.
 
 Runtime modes are nonvar/var approximations of the model's
 ground/free abstraction; partially instantiated arguments are counted
@@ -32,7 +35,7 @@ docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.declarations import Declarations
 from ..analysis.modes import parse_mode_string
@@ -40,14 +43,17 @@ from ..markov.goal_stats import GoalStats
 from ..markov.predicate_model import CostModel
 from ..prolog.database import Database
 from ..prolog.engine import Engine
-from .events import EventBus, PortEvent, attach
+from .streaming import (
+    ModeAggregate,
+    StreamAggregates,
+    StreamingRecorder,
+    attach_recorder,
+)
 
 __all__ = [
     "DriftOptions",
-    "Observation",
     "DriftRecord",
     "DriftReporter",
-    "collect_observations",
     "compare_estimates",
 ]
 
@@ -98,102 +104,12 @@ class DriftOptions:
 
 
 @dataclass
-class Observation:
-    """Measured behaviour of one (predicate, runtime mode)."""
-
-    indicator: Indicator
-    mode_text: str
-    invocations: int = 0
-    successes: int = 0
-    solutions: int = 0
-    total_cost: int = 0
-
-    @property
-    def mean_cost(self) -> float:
-        return self.total_cost / self.invocations if self.invocations else 0.0
-
-    @property
-    def mean_solutions(self) -> float:
-        return self.solutions / self.invocations if self.invocations else 0.0
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.invocations if self.invocations else 0.0
-
-    def as_goal_stats(self) -> GoalStats:
-        """The observation in the model's own vocabulary."""
-        return GoalStats(
-            cost=max(self.mean_cost, 0.0),
-            solutions=max(self.mean_solutions, 0.0),
-            prob=min(1.0, max(0.0, self.success_rate)),
-        )
-
-
-@dataclass
-class _Box:
-    """One in-flight Byrd box during stream replay."""
-
-    indicator: Indicator
-    mode_text: str
-    cost: int = 1  # the call itself
-    exits: int = 0
-
-
-def collect_observations(
-    events: Iterable[object],
-) -> Dict[Tuple[Indicator, str], Observation]:
-    """Aggregate port events into per-(predicate, mode) observations.
-
-    Boxes abandoned by cut/once/limit (no closing ``fail`` port — the
-    same gap the tracer has) are finalised with whatever was observed.
-    """
-    active: List[_Box] = []
-    paused: Dict[Tuple[int, Indicator], List[_Box]] = {}
-    finished: List[_Box] = []
-    for event in events:
-        if not isinstance(event, PortEvent):
-            continue
-        if event.port == "call":
-            for box in active:
-                box.cost += 1
-            active.append(_Box(event.indicator, event.mode or "()"))
-        elif event.port == "exit":
-            if active and active[-1].indicator == event.indicator:
-                box = active.pop()
-                box.exits += 1
-                paused.setdefault((event.depth, event.indicator), []).append(box)
-        elif event.port == "redo":
-            stack = paused.get((event.depth, event.indicator))
-            if stack:
-                active.append(stack.pop())
-        elif event.port == "fail":
-            if active and active[-1].indicator == event.indicator:
-                finished.append(active.pop())
-    finished.extend(active)
-    for stack in paused.values():
-        finished.extend(stack)
-
-    observations: Dict[Tuple[Indicator, str], Observation] = {}
-    for box in finished:
-        key = (box.indicator, box.mode_text)
-        observation = observations.get(key)
-        if observation is None:
-            observation = Observation(box.indicator, box.mode_text)
-            observations[key] = observation
-        observation.invocations += 1
-        observation.successes += 1 if box.exits else 0
-        observation.solutions += box.exits
-        observation.total_cost += box.cost
-    return observations
-
-
-@dataclass
 class DriftRecord:
     """Predicted-vs-observed comparison for one (predicate, mode)."""
 
     indicator: Indicator
     mode_text: str
-    observed: Observation
+    observed: ModeAggregate
     predicted: Optional[GoalStats]
     cost_ratio: Optional[float]
     prob_delta: Optional[float]
@@ -207,7 +123,7 @@ class DriftRecord:
             "predicate": f"{self.indicator[0]}/{self.indicator[1]}",
             "mode": self.mode_text,
             "observed": {
-                "invocations": self.observed.invocations,
+                "invocations": self.observed.boxes,
                 "cost": self.observed.mean_cost,
                 "solutions": self.observed.mean_solutions,
                 "prob": self.observed.success_rate,
@@ -230,7 +146,7 @@ class DriftRecord:
         """One human-readable comparison line."""
         name = f"{self.indicator[0]}/{self.indicator[1]} {self.mode_text}"
         if self.predicted is None:
-            return f"{name}: no model prediction ({self.observed.invocations} calls observed)"
+            return f"{name}: no model prediction ({self.observed.boxes} calls observed)"
         flag = "  DRIFT: " + ", ".join(self.reasons) if self.flagged else ""
         return (
             f"{name}: cost {self.predicted.cost:.1f} -> {self.observed.mean_cost:.1f} "
@@ -240,7 +156,7 @@ class DriftRecord:
 
 
 class DriftReporter:
-    """Replays queries and compares the cost model against reality."""
+    """Compares the cost model against measured box statistics."""
 
     def __init__(
         self,
@@ -254,56 +170,52 @@ class DriftReporter:
         self.declarations = declarations or Declarations.from_database(database)
         self.model = model or CostModel(database, self.declarations)
 
-    def replay(self, query: str, **engine_kwargs) -> EventBus:
-        """Run ``query`` on a fresh instrumented engine; returns the bus."""
-        engine = Engine(self.database, **engine_kwargs)
-        bus = attach(engine)
-        try:
-            engine.ask(query)
-        finally:
-            self.database.events = None
-        return bus
-
     def report(
-        self, query: Optional[str] = None, bus: Optional[EventBus] = None
+        self,
+        query: Optional[str] = None,
+        aggregates: Optional[StreamAggregates] = None,
     ) -> List[DriftRecord]:
         """Drift records for every observed user predicate, sorted with
         flagged entries first (then by observed cost, descending).
 
-        Provide either a query to replay or an already-filled bus.
+        Provide either already-recorded aggregates or a query, which is
+        then run on a fresh engine under a full-rate recorder.
         """
-        if bus is None:
+        if aggregates is None:
             if query is None:
-                raise ValueError("need a query or an event bus")
-            bus = self.replay(query)
+                raise ValueError("need a query or stream aggregates")
+            engine = Engine(self.database)
+            recorder = attach_recorder(engine, StreamingRecorder(sample_every=1))
+            engine.ask(query)
+            aggregates = recorder.aggregates
         records = []
-        for (indicator, mode_text), observation in collect_observations(bus).items():
+        for (indicator, mode_text), observed in aggregates.items():
             if not self.database.defines(indicator):
                 continue  # builtins: not calibration targets
-            if observation.invocations < self.options.min_invocations:
+            if observed.boxes < self.options.min_invocations:
                 continue
-            records.append(self._compare(indicator, mode_text, observation))
+            records.append(self._compare(indicator, mode_text, observed))
         records.sort(
             key=lambda r: (not r.flagged, -r.observed.mean_cost, r.indicator)
         )
         return records
 
     def _compare(
-        self, indicator: Indicator, mode_text: str, observation: Observation
+        self, indicator: Indicator, mode_text: str, observed: ModeAggregate
     ) -> DriftRecord:
         predicted = self.model.predicate_stats(
             indicator, parse_mode_string(mode_text)
         )
         ratio, prob_delta, reasons = compare_estimates(
-            observation.mean_cost,
-            observation.success_rate,
+            observed.mean_cost,
+            observed.success_rate,
             predicted,
             self.options,
         )
         return DriftRecord(
             indicator=indicator,
             mode_text=mode_text,
-            observed=observation,
+            observed=observed,
             predicted=predicted,
             cost_ratio=ratio,
             prob_delta=prob_delta,

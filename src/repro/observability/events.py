@@ -1,18 +1,20 @@
-"""Typed execution events and the event bus.
+"""Typed structural events and the event bus.
 
 The paper's whole methodology is counting — "the number of predicate
 calls or unifications; CPU time is too coarse a measure" (§I-B) — but
-scalar counters cannot say *where* the calls went, whether the clause
-index actually narrowed anything, or how the observed behaviour of a
-predicate compares with what the Markov model predicted for it. The
-event bus records a structured stream of those facts.
+scalar counters cannot say whether the clause index actually narrowed
+anything, what the tabling subsystem did, or where a budget ran out.
+The event bus records a structured stream of those low-rate facts.
+Per-call data (Byrd boxes, cost, solutions, wall time) does not come
+through here: it has one channel, ``engine.recorder`` (see
+:mod:`repro.observability.streaming.recorder`).
 
 Design constraints:
 
 * **zero overhead when disabled** — the engine and database hold
   ``events = None`` by default and guard every emission site with a
-  single ``is not None`` test (the same convention as the four-port
-  tracer), so the uninstrumented hot path never constructs an event;
+  single ``is not None`` test, so the uninstrumented hot path never
+  constructs an event;
 * **typed events** — each record is a small dataclass with a ``kind``
   tag and a ``to_record()`` JSONL serializer, so consumers (the drift
   reporter, the CLI exporters, tests) never parse strings;
@@ -31,11 +33,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Event",
-    "PortEvent",
     "IndexEvent",
-    "ChoicePointEvent",
-    "UnifyEvent",
-    "PredicateTimeEvent",
     "TableEvent",
     "StratumEvent",
     "CacheEvent",
@@ -82,23 +80,6 @@ class Event:
 
 
 @dataclass
-class PortEvent(Event):
-    """One Byrd-box port crossing of a real (non-control) goal.
-
-    ``mode`` is the runtime calling mode — ``+`` per nonvar argument,
-    ``-`` per unbound one — rendered like ``(+, -)``; it is recorded on
-    the ``call`` port only (``None`` elsewhere).
-    """
-
-    kind = "port"
-
-    port: str
-    indicator: Indicator
-    depth: int
-    mode: Optional[str] = None
-
-
-@dataclass
 class IndexEvent(Event):
     """One clause-index consultation by ``Database.matching_clauses``.
 
@@ -119,38 +100,6 @@ class IndexEvent(Event):
     total: int
     position: Optional[int] = None
     selectivity: Optional[float] = None
-
-
-@dataclass
-class ChoicePointEvent(Event):
-    """A user-predicate activation that left alternatives to retry."""
-
-    kind = "choicepoint"
-
-    indicator: Indicator
-    alternatives: int
-    depth: int
-
-
-@dataclass
-class UnifyEvent(Event):
-    """One head-unification attempt against a clause."""
-
-    kind = "unify"
-
-    indicator: Indicator
-    succeeded: bool
-
-
-@dataclass
-class PredicateTimeEvent(Event):
-    """Wall-clock time of one completed Byrd box (call through final
-    fail), including all descendant work performed inside it."""
-
-    kind = "wall"
-
-    indicator: Indicator
-    seconds: float
 
 
 @dataclass
@@ -356,27 +305,14 @@ class EventBus:
         return [event for event in self.events if event.kind == kind]
 
     def counts(self) -> Dict[str, int]:
-        """Event count per kind (ports additionally per port name)."""
+        """Event count per kind (tables additionally per action)."""
         tally: Dict[str, int] = {}
         for event in self.events:
             tally[event.kind] = tally.get(event.kind, 0) + 1
-            if isinstance(event, PortEvent):
-                key = f"port.{event.port}"
-                tally[key] = tally.get(key, 0) + 1
-            elif isinstance(event, TableEvent):
+            if isinstance(event, TableEvent):
                 key = f"table.{event.action}"
                 tally[key] = tally.get(key, 0) + 1
         return tally
-
-    def predicate_wall_seconds(self) -> Dict[Indicator, float]:
-        """Total boxed wall time per predicate (from ``wall`` events)."""
-        totals: Dict[Indicator, float] = {}
-        for event in self.events:
-            if isinstance(event, PredicateTimeEvent):
-                totals[event.indicator] = (
-                    totals.get(event.indicator, 0.0) + event.seconds
-                )
-        return totals
 
     def clear(self) -> None:
         """Drop all collected events and the overflow count."""

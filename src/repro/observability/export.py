@@ -3,7 +3,7 @@
 Every record is one flat JSON object with a ``type`` discriminator:
 
 * ``profile`` — run header (file, query, tool version);
-* ``event``   — one bus event (see :mod:`.events`);
+* ``event``   — one structural bus event (see :mod:`.events`);
 * ``span``    — one pipeline phase (see :mod:`.spans`);
 * ``metrics`` — engine counters (:meth:`repro.prolog.metrics.Metrics.to_dict`);
 * ``search``  — goal-search internals (:class:`repro.reorder.goal_search.SearchCounters`);
@@ -31,6 +31,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "profile_header",
     "event_records",
+    "recorder_records",
     "metrics_record",
     "solutions_record",
     "degenerate_record",
@@ -74,6 +75,20 @@ def event_records(bus, run: Optional[str] = None) -> Iterator[Record]:
         if run is not None:
             marker["run"] = run
         yield marker
+
+
+def recorder_records(recorder, run: Optional[str] = None) -> Iterator[Record]:
+    """A recorder's ``stream`` aggregates, then its retained ``sample``
+    boxes in call order."""
+    for record in recorder.aggregates.to_records():
+        if run is not None:
+            record["run"] = run
+        yield record
+    for sample in recorder.samples():
+        record = sample.to_record()
+        if run is not None:
+            record["run"] = run
+        yield record
 
 
 def metrics_record(metrics, run: Optional[str] = None) -> Record:

@@ -1,15 +1,16 @@
-"""Continuous, bounded, always-on telemetry (the streaming layer).
+"""The per-call telemetry channel: bounded, mergeable, safe to leave on.
 
-Where :mod:`repro.observability.events` is a one-shot instrument —
-buffer everything, analyse afterwards — this package is built to stay
-attached under sustained load:
+The engine's one per-call instrumentation slot (``engine.recorder``)
+holds a recorder from this package — sampled for continuous use, or
+``sample_every=1`` for exhaustive profiling — and everything built on
+Byrd boxes reads from it:
 
 * :mod:`.ring`      — bounded retention (ring buffer, reservoir sampler);
 * :mod:`.aggregate` — mergeable per-(predicate, mode) online counters
   and log-bucketed histograms with p50/p95/p99;
-* :mod:`.recorder`  — the sampling engine hook (``engine.recorder``):
-  1-in-N plus rare-predicate sampling, exact call counts, no event
-  objects on the hot path;
+* :mod:`.recorder`  — the engine hook (``engine.recorder``): 1-in-N
+  plus rare-predicate sampling (or every box), exact call counts, no
+  event objects on the hot path;
 * :mod:`.monitor`   — the continuous :class:`DriftMonitor` feeding
   observed statistics into the stats store and emitting
   ``DriftEvent`` s naming the drifted SCCs;

@@ -1,8 +1,7 @@
 """Streaming per-(predicate, mode) aggregates with mergeable state.
 
-The drift reporter (PR 1) buffers the whole event stream and replays it
-post-hoc; that cannot run continuously. This module keeps the same
-three quantities the Markov model predicts — cost in calls, solution
+This module keeps, per runtime mode of each predicate, the three
+quantities the Markov model predicts — cost in calls, solution
 count, success probability (paper §VI-A) — as *online* counters plus
 log-bucketed histograms, O(1) per completed Byrd box and O(predicates)
 in memory, in the spirit of Ledeniov & Markovitch's per-mode cached

@@ -1,8 +1,8 @@
 """Continuous drift monitoring: streaming aggregates vs. the model.
 
-The post-hoc :class:`~repro.observability.drift.DriftReporter` replays
-one query under full event instrumentation and compares afterwards.
-The :class:`DriftMonitor` is its always-on sibling: it is *fed*
+The post-hoc :class:`~repro.observability.drift.DriftReporter` compares
+one finished run's aggregates against the model. The
+:class:`DriftMonitor` is its always-on sibling: it is *fed*
 streaming aggregates (from a
 :class:`~repro.observability.streaming.recorder.StreamingRecorder`, or
 merged from calibration workers) as the program keeps running, folds

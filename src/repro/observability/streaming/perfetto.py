@@ -1,24 +1,20 @@
 """Chrome/Perfetto trace-event export for spans and Byrd boxes.
 
-Renders the repo's three timing sources into the Trace Event JSON
-format (``{"traceEvents": [...]}``) that ``chrome://tracing`` and
+Renders the repo's two timing sources into the Trace Event JSON format
+(``{"traceEvents": [...]}``) that ``chrome://tracing`` and
 https://ui.perfetto.dev load directly:
 
 * **pipeline spans** (:class:`~repro.observability.spans.SpanRecorder`)
   — spans carry durations but no start timestamps, so they are laid
   out on a synthetic sequential timeline in recording order: correct
   durations and ordering, no gaps;
-* **event-bus boxes** (:class:`~repro.observability.events.EventBus`)
-  — ``call``/``redo`` → ``exit``/``fail`` port crossings are paired
-  into *active windows* per Byrd box, each a complete (``"X"``) slice;
-  depth-first execution makes windows nest properly on one track;
-* **recorder samples**
+* **recorder box samples**
   (:class:`~repro.observability.streaming.recorder.BoxSample`) — each
-  sampled box becomes one slice spanning call through final fail on a
-  per-depth track. Sampling means parents may be missing and a box's
-  wall time includes paused windows, so nesting is approximate —
-  good enough for "where did the time go", which is all a sampled
-  trace can promise.
+  box becomes one slice spanning call through final fail on a
+  per-depth track. A box's wall time includes its paused windows, and
+  under sampling its parents may be missing, so the per-depth tracks
+  keep overlapping siblings readable instead of pretending to exact
+  nesting.
 
 All timestamps are microseconds (the format's unit), rebased to the
 earliest event so traces start at zero.
@@ -29,19 +25,17 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional
 
-from ..events import EventBus, PortEvent
 from ..spans import SpanRecorder
 from .recorder import BoxSample
 
 __all__ = [
     "trace_events_from_spans",
-    "trace_events_from_bus",
     "trace_events_from_samples",
     "perfetto_trace",
     "write_trace",
 ]
 
-#: Process ids keeping the three sources on separate Perfetto tracks.
+#: Process ids keeping the two sources on separate Perfetto tracks.
 _PID_PIPELINE = 1
 _PID_ENGINE = 2
 
@@ -83,57 +77,6 @@ def trace_events_from_spans(spans: SpanRecorder) -> List[TraceEvent]:
     return events
 
 
-def trace_events_from_bus(bus: EventBus) -> List[TraceEvent]:
-    """Byrd-box active windows reconstructed from port events.
-
-    Each ``call``/``redo`` opens a window that the matching ``exit`` /
-    ``fail`` closes; depth-first execution nests the windows properly,
-    so they all live on one engine track. Windows left open (cut /
-    once / solution limits) are closed at the last seen timestamp.
-    """
-    events: List[TraceEvent] = []
-    ports = [event for event in bus if isinstance(event, PortEvent)]
-    if not ports:
-        return events
-    base = ports[0].ts
-    last = ports[0].ts
-    stack: List[PortEvent] = []
-    for event in ports:
-        last = max(last, event.ts)
-        if event.port in ("call", "redo"):
-            stack.append(event)
-        elif event.port in ("exit", "fail"):
-            if stack and stack[-1].indicator == event.indicator:
-                opened = stack.pop()
-                events.append(
-                    _slice(
-                        f"{event.indicator[0]}/{event.indicator[1]}",
-                        (opened.ts - base) * 1e6,
-                        (event.ts - opened.ts) * 1e6,
-                        _PID_ENGINE,
-                        1,
-                        {
-                            "depth": opened.depth,
-                            "window": opened.port,
-                            "closed": event.port,
-                        },
-                    )
-                )
-    for opened in stack:
-        events.append(
-            _slice(
-                f"{opened.indicator[0]}/{opened.indicator[1]}",
-                (opened.ts - base) * 1e6,
-                (last - opened.ts) * 1e6,
-                _PID_ENGINE,
-                1,
-                {"depth": opened.depth, "window": opened.port, "closed": None},
-            )
-        )
-    events.sort(key=lambda event: event["ts"])
-    return events
-
-
 def trace_events_from_samples(samples: Iterable[BoxSample]) -> List[TraceEvent]:
     """Sampled boxes as slices, one Perfetto track per call depth.
 
@@ -165,15 +108,12 @@ def trace_events_from_samples(samples: Iterable[BoxSample]) -> List[TraceEvent]:
 
 def perfetto_trace(
     spans: Optional[SpanRecorder] = None,
-    bus: Optional[EventBus] = None,
     samples: Optional[Iterable[BoxSample]] = None,
 ) -> Dict[str, object]:
     """A complete Trace Event JSON document from any source mix."""
     events: List[TraceEvent] = []
     if spans is not None:
         events.extend(trace_events_from_spans(spans))
-    if bus is not None:
-        events.extend(trace_events_from_bus(bus))
     if samples is not None:
         events.extend(trace_events_from_samples(samples))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
@@ -182,11 +122,10 @@ def perfetto_trace(
 def write_trace(
     path: str,
     spans: Optional[SpanRecorder] = None,
-    bus: Optional[EventBus] = None,
     samples: Optional[Iterable[BoxSample]] = None,
 ) -> int:
     """Write a trace file loadable by Perfetto; returns the event count."""
-    trace = perfetto_trace(spans=spans, bus=bus, samples=samples)
+    trace = perfetto_trace(spans=spans, samples=samples)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(trace, handle)
     return len(trace["traceEvents"])

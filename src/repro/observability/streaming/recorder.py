@@ -1,11 +1,10 @@
 """The sampling ring-buffer recorder: tracing that is safe to leave on.
 
-The PR-1 event bus materialises four :class:`PortEvent` objects plus a
-wall-time event per Byrd box — fine for a one-shot ``repro profile``,
-far too hot for continuous production telemetry. The
-:class:`StreamingRecorder` is the always-on alternative, attached via
-``engine.recorder`` (a third instrumentation channel beside the tracer
-and the event bus):
+``engine.recorder`` is the engine's one per-call instrumentation slot,
+and :class:`StreamingRecorder` is its standard occupant. With its
+default sampling it is the always-on production channel; with
+``sample_every=1`` every box is recorded, which is the exhaustive mode
+``repro profile``, ``run --profile`` and ``compare --profile`` use:
 
 * the sampling decision is *inlined in the engine*: a hot predicate
   costs one set-membership test (:attr:`StreamingRecorder.hot`) and a
@@ -268,8 +267,14 @@ class StreamingRecorder:
 
     # -- box lifecycle (driven by Engine._record_boxed) -------------------
 
-    def open_box(self, indicator: Indicator, mode: str, depth: int, metrics) -> _OpenBox:
-        """Start tracking one sampled box on ``metrics``'s call clock."""
+    def open_box(
+        self, indicator: Indicator, mode: str, depth: int, metrics, goal
+    ) -> _OpenBox:
+        """Start tracking one sampled box on ``metrics``'s call clock.
+
+        ``goal`` (the called term) is part of the hook signature for
+        consumers that render goals; the recorder does not keep it.
+        """
         return _OpenBox(indicator, mode, depth, perf_counter(), metrics)
 
     def pause_box(self, box: _OpenBox) -> None:
@@ -283,12 +288,12 @@ class StreamingRecorder:
         box.resumed_at = box.metrics.calls
         box.paused = False
 
-    def close_box(self, box: _OpenBox) -> BoxSample:
+    def close_box(self, box: _OpenBox, failed: bool) -> BoxSample:
         """Finalise one box into a sample; folds it into everything.
 
-        Also called for boxes abandoned mid-solution (cut / ``once`` /
-        solution limits): whatever was observed still counts, matching
-        the drift reporter's treatment of unclosed boxes.
+        ``failed`` is False for boxes abandoned mid-solution (cut /
+        ``once`` / solution limits / exceptions); whatever was observed
+        still counts, so the sample is recorded either way.
         """
         if not box.paused:
             box.accumulated += box.metrics.calls - box.resumed_at

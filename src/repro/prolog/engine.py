@@ -30,16 +30,9 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from time import perf_counter
 from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
 
-from ..observability.events import (
-    ChoicePointEvent,
-    EventBus,
-    PortEvent,
-    PredicateTimeEvent,
-    UnifyEvent,
-)
+from ..observability.events import EventBus
 from ..errors import (
     CallBudgetExceeded,
     DepthLimitExceeded,
@@ -213,15 +206,15 @@ class Engine:
         self.echo = echo
         #: Input queue for read/1 and get0/1.
         self.input_terms: Deque[Term] = deque()
-        #: Optional four-port tracer callback (port, depth, goal).
-        self.tracer = None
-        #: Optional event bus (see :mod:`repro.observability.events`);
-        #: None keeps the uninstrumented fast path.
+        #: Optional event bus for the low-rate structural events (index,
+        #: table, stratum, budget, ...; see
+        #: :mod:`repro.observability.events`). Never consulted per call.
         self.events: Optional[EventBus] = None
-        #: Optional streaming recorder (see
-        #: :mod:`repro.observability.streaming.recorder`): the sampled,
-        #: bounded, always-on channel. Consulted only when tracer and
-        #: event bus are both off; None keeps the fast path.
+        #: The one per-call instrumentation slot: anything with the
+        #: recorder's box hooks — a sampled or full-rate
+        #: :class:`~repro.observability.streaming.recorder.StreamingRecorder`,
+        #: or a :class:`~repro.prolog.trace.CollectingTracer`. None
+        #: keeps the uninstrumented fast path.
         self.recorder = None
         #: Bound for length/2 open enumeration.
         self.max_list_length = 10_000
@@ -363,58 +356,28 @@ class Engine:
                     iterator = solve_tabled(self, goal, indicator, depth)
                 else:
                     iterator = self._solve_user(goal, indicator, depth)
-        tracer = self.tracer
-        bus = self.events
-        if tracer is None and bus is None:
-            recorder = self.recorder
-            if recorder is None:
-                # Disabled-instrumentation fast path: delegate directly.
-                # Nothing below this line (mode strings, events,
-                # timestamps) is constructed when everything is off.
-                yield from iterator
-                return
-            # Sampled streaming path, decided inline so an unsampled
-            # call costs one set test plus a stride check on the call
-            # counter ``_charge_call`` already maintains — only sampled
-            # boxes pay for a token object and timestamps, and only
-            # rare-phase predicates reach recorder code at all.
-            if indicator in recorder.hot:
-                sampled = not self.metrics.calls % recorder.sample_every
-            else:
-                sampled = recorder.admit_cold(indicator, self.metrics)
-            if sampled:
-                yield from self._record_boxed(iterator, args, indicator, depth)
-            else:
-                yield from iterator
+        recorder = self.recorder
+        if recorder is None:
+            # Uninstrumented fast path: delegate directly. Nothing below
+            # this line (mode strings, timestamps, boxes) is constructed
+            # when no recorder is attached.
+            yield from iterator
             return
-        yield from self._solve_boxed(iterator, goal, args, indicator, depth)
+        # Sampling decided inline, so an unsampled call costs one set
+        # test plus a stride check on the call counter ``_charge_call``
+        # already maintains — only sampled boxes pay for a box object
+        # and timestamps, and only rare-phase predicates reach recorder
+        # code at all.
+        if indicator in recorder.hot:
+            sampled = not self.metrics.calls % recorder.sample_every
+        else:
+            sampled = recorder.admit_cold(indicator, self.metrics)
+        if sampled:
+            yield from self._record_boxed(iterator, goal, args, indicator, depth)
+        else:
+            yield from iterator
 
     def _record_boxed(
-        self,
-        iterator: Iterator[None],
-        args: Tuple[Term, ...],
-        indicator: Indicator,
-        depth: int,
-    ) -> Iterator[None]:
-        """Byrd box for the sampled streaming path (no event objects).
-
-        The recorder's pause/resume calls track the exit/redo windows so
-        the closed box's cost — 1 + calls while active — matches the
-        drift reporter's replay semantics without any event stream.
-        """
-        recorder = self.recorder
-        box = recorder.open_box(
-            indicator, _runtime_mode(args), depth, self.metrics
-        )
-        try:
-            for _ in iterator:
-                recorder.pause_box(box)
-                yield
-                recorder.resume_box(box)
-        finally:
-            recorder.close_box(box)
-
-    def _solve_boxed(
         self,
         iterator: Iterator[None],
         goal: Term,
@@ -422,35 +385,28 @@ class Engine:
         indicator: Indicator,
         depth: int,
     ) -> Iterator[None]:
-        """Byrd's four-port box around one goal activation.
+        """Byrd's four-port box around one sampled goal activation.
 
-        Split out of :meth:`solve_goal` so the instrumented path — the
-        only place mode strings, port events, and timestamps are built —
-        is entered solely when a tracer or event bus is attached.
+        ``open_box`` is the call port, ``pause_box`` exit and
+        ``resume_box`` redo. ``close_box`` always runs; its ``failed``
+        flag is True only when the goal failed out (the fail port), and
+        False when the box was abandoned by cut, ``once``, a solution
+        limit or an exception. The pause/resume windows make the closed
+        box's cost 1 + calls made while it was active.
         """
-        tracer = self.tracer
-        bus = self.events
-        started = 0.0
-        if bus is not None:
-            bus.emit(PortEvent("call", indicator, depth, _runtime_mode(args)))
-            started = perf_counter()
-        if tracer is not None:
-            tracer("call", depth, goal)
-        for _ in iterator:
-            if bus is not None:
-                bus.emit(PortEvent("exit", indicator, depth))
-            if tracer is not None:
-                tracer("exit", depth, goal)
-            yield
-            if bus is not None:
-                bus.emit(PortEvent("redo", indicator, depth))
-            if tracer is not None:
-                tracer("redo", depth, goal)
-        if bus is not None:
-            bus.emit(PortEvent("fail", indicator, depth))
-            bus.emit(PredicateTimeEvent(indicator, perf_counter() - started))
-        if tracer is not None:
-            tracer("fail", depth, goal)
+        recorder = self.recorder
+        box = recorder.open_box(
+            indicator, _runtime_mode(args), depth, self.metrics, goal
+        )
+        failed = False
+        try:
+            for _ in iterator:
+                recorder.pause_box(box)
+                yield
+                recorder.resume_box(box)
+            failed = True
+        finally:
+            recorder.close_box(box, failed)
 
     def _charge_call(self, indicator: Indicator) -> None:
         self.metrics.record_call(indicator)
@@ -561,21 +517,15 @@ class Engine:
     ) -> Iterator[None]:
         """Bytecode-VM dispatch for one user-predicate call.
 
-        The trampoline (:mod:`repro.prolog.vm`) runs only on the
-        uninstrumented fast path; when a tracer, event bus, recorder,
-        or bottom-up dispatcher is attached the call routes to the
-        generator oracle instead, so instrumented runs are
-        event-for-event identical to the PR 3 path by construction —
-        the same contract the scan plans already follow (bus off only).
-        The check is per call, so attaching a recorder mid-session
-        flips the very next call.
+        The trampoline (:mod:`repro.prolog.vm`) runs whenever no
+        recorder and no bottom-up dispatcher is attached — an event bus
+        is fine, since it sees only structural events the VM emits the
+        same way. A recorder routes the call to the generator path,
+        whose ``solve_goal`` opens one box per call. The check is per
+        call, so attaching a recorder mid-session flips the very next
+        call.
         """
-        if (
-            self.tracer is not None
-            or self.events is not None
-            or self.recorder is not None
-            or self._bottomup is not None
-        ):
+        if self.recorder is not None or self._bottomup is not None:
             return self._solve_user_compiled(goal, indicator, depth)
         from .vm import solve_vm
 
@@ -592,7 +542,7 @@ class Engine:
         body is materialized only after the head unifies — so failed
         attempts never copy the body. Counter discipline is identical
         to :meth:`_solve_user_interpreted`: fast rejections still
-        charge a failed unification and emit a ``UnifyEvent``.
+        charge a failed unification.
 
         On unnarrowed scans (``indexing=False`` or an unindexable call)
         with a bound first argument, the database's cached
@@ -608,9 +558,6 @@ class Engine:
             )
         database = self.database
         clauses = database.matching_clauses(goal)
-        bus = self.events
-        if bus is not None and len(clauses) > 1:
-            bus.emit(ChoicePointEvent(indicator, len(clauses), depth))
         if not clauses:
             return
         program = database.compiled_program(indicator)
@@ -635,9 +582,7 @@ class Engine:
                 )
                 if not bound_positions:
                     goal_keys = None
-                elif bus is None and goal_keys[0] is not None:
-                    # The bulk plan skips UnifyEvent emission, so it is
-                    # only taken on the uninstrumented path.
+                elif goal_keys[0] is not None:
                     plan = database.scan_plan(indicator, clauses, goal_keys[0])
         body_depth = depth + 1
         if plan is not None:
@@ -703,16 +648,12 @@ class Engine:
                         break
                 if rejected:
                     metrics.record_fast_reject()
-                    if bus is not None:
-                        bus.emit(UnifyEvent(indicator, False))
                     continue
             mark = trail.mark()
             slots = compiled.unify_head(goal_args, trail, occurs)
             metrics.record_instantiation()
             if slots is not None:
                 metrics.record_unification(True)
-                if bus is not None:
-                    bus.emit(UnifyEvent(indicator, True))
                 goals = compiled.materialize_body(slots)
                 count = len(goals)
                 if count == 0:
@@ -723,8 +664,6 @@ class Engine:
                     yield from self._solve_body(goals, body_depth, frame)
             else:
                 metrics.record_unification(False)
-                if bus is not None:
-                    bus.emit(UnifyEvent(indicator, False))
             trail.undo_to(mark)
             if frame.cut:
                 return
@@ -743,9 +682,6 @@ class Engine:
                 f"depth {self.max_depth} exceeded at {indicator[0]}/{indicator[1]}"
             )
         clauses = self.database.matching_clauses(goal)
-        bus = self.events
-        if bus is not None and len(clauses) > 1:
-            bus.emit(ChoicePointEvent(indicator, len(clauses), depth))
         frame = self.new_frame()
         first_attempt = True
         for clause in clauses:
@@ -756,13 +692,9 @@ class Engine:
             head, body = clause.rename()
             if unify(goal, head, self.trail, occurs_check=self.occurs_check):
                 self.metrics.record_unification(True)
-                if bus is not None:
-                    bus.emit(UnifyEvent(indicator, True))
                 yield from self.solve_goal(body, depth + 1, frame)
             else:
                 self.metrics.record_unification(False)
-                if bus is not None:
-                    bus.emit(UnifyEvent(indicator, False))
             self.trail.undo_to(mark)
             if frame.cut:
                 return

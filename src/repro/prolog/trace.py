@@ -2,10 +2,12 @@
 
 Byrd's box model: every goal is entered (``call``), may succeed
 (``exit``), may be re-entered on backtracking (``redo``), and finally
-fails out (``fail``). The engine invokes a tracer callback at each
-port; :class:`CollectingTracer` is the standard consumer, rendering
-goals *with their bindings at event time* — so an ``exit`` line shows
-the answer the goal just produced.
+fails out (``fail``). :class:`CollectingTracer` implements the box
+hooks of the engine's one per-call instrumentation slot
+(``engine.recorder = CollectingTracer()``), rendering goals *with their
+bindings at event time* — so an ``exit`` line shows the answer the
+goal just produced. A box abandoned by cut, ``once``, a solution limit
+or an exception closes without a ``fail`` line.
 
 Tracing is how the reproduction was debugged, and it is part of the
 substrate a Prolog user expects; it also doubles as an execution-order
@@ -22,16 +24,13 @@ make a cut trace impossible to mistake for a complete one.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional, Tuple
 
 from ..observability.streaming.ring import RingBuffer
 from .terms import Term
 from .writer import term_to_string
 
-__all__ = ["TraceEvent", "CollectingTracer", "Tracer"]
-
-#: Tracer callback signature: (port, depth, goal term).
-Tracer = Callable[[str, int, Term], None]
+__all__ = ["TraceEvent", "CollectingTracer"]
 
 PORTS = ("call", "exit", "redo", "fail")
 
@@ -66,7 +65,7 @@ class TraceEvent:
 
 
 class CollectingTracer:
-    """Keeps the most recent ``limit`` events; *counts* the overflow.
+    """Records every port crossing; keeps the most recent ``limit``.
 
     Backed by
     :class:`~repro.observability.streaming.ring.RingBuffer`, so a
@@ -88,17 +87,38 @@ class CollectingTracer:
         self.only_predicates = only_predicates
         self._ring: RingBuffer = RingBuffer(limit)
 
-    def __call__(self, port: str, depth: int, goal: Term) -> None:
-        """Record one port crossing (the engine's tracer callback)."""
-        if self.only_predicates is not None:
-            from .terms import functor_indicator
+    # -- the recorder's box hooks (driven by Engine._record_boxed) -------
 
-            try:
-                name, _ = functor_indicator(goal)
-            except TypeError:
-                return
-            if name not in self.only_predicates:
-                return
+    #: No predicate is ever past a sampling phase: every call reaches
+    #: :meth:`admit_cold`, which applies the predicate filter.
+    hot: frozenset = frozenset()
+    sample_every = 1
+
+    def admit_cold(self, indicator: Tuple[str, int], metrics) -> bool:
+        """Box every call, or only those the predicate filter names."""
+        return self.only_predicates is None or indicator[0] in self.only_predicates
+
+    def open_box(self, indicator, mode, depth, metrics, goal: Term):
+        """The ``call`` port; the box is just (depth, goal)."""
+        box = (depth, goal)
+        self._port("call", box)
+        return box
+
+    def pause_box(self, box) -> None:
+        """The ``exit`` port."""
+        self._port("exit", box)
+
+    def resume_box(self, box) -> None:
+        """The ``redo`` port."""
+        self._port("redo", box)
+
+    def close_box(self, box, failed: bool) -> None:
+        """The ``fail`` port, when the goal failed out (not abandoned)."""
+        if failed:
+            self._port("fail", box)
+
+    def _port(self, port: str, box) -> None:
+        depth, goal = box
         self._ring.append(TraceEvent(port, depth, term_to_string(goal)))
 
     @property

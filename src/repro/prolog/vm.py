@@ -50,12 +50,13 @@ Cut is eager: ``VM_CUT`` prunes the stack down to the call's barrier
 in LIFO order; the trail is deliberately *not* undone (bindings made
 left of the cut are part of the committed solution).
 
-The machine runs only on the uninstrumented fast path: when a tracer,
-event bus, recorder, or bottom-up dispatcher is attached,
-``Engine._solve_user_vm`` routes to the generator oracle instead — the
-same precedent as the scan plans, which also only run when the bus is
-off. Instrumented VM runs are therefore event-for-event identical to
-the PR 3 path by construction.
+The machine runs with or without the structural event bus: it emits
+the same ``IndexEvent``/``TableEvent`` sequence as the generator path,
+because the clause-selection memo is bypassed while ``database.events``
+is set. When a recorder (the engine's one per-call instrumentation
+slot) or the bottom-up dispatcher is attached, ``Engine._solve_user_vm``
+routes to the generator path instead, whose ``solve_goal`` opens one
+Byrd box per call.
 """
 
 from __future__ import annotations
@@ -342,8 +343,9 @@ class Machine:
         Returns ``False`` when no clause can match (the call fails
         without a choice point). Mirrors the preamble of
         ``Engine._solve_user_compiled`` exactly — including the
-        fingerprint setup and the scan-plan condition (always eligible
-        here: the machine only runs with the event bus off).
+        fingerprint setup and the scan-plan condition (a bound first
+        argument). The index probe goes to the database on every root
+        entry, so ``IndexEvent``s are emitted as on the generator path.
         """
         engine = self.engine
         if call_depth >= engine.max_depth:

@@ -3,69 +3,66 @@
 import json
 
 from repro.markov.goal_stats import GoalStats
-from repro.observability import attach
 from repro.observability.drift import (
     DriftOptions,
     DriftReporter,
-    collect_observations,
     compare_estimates,
 )
+from repro.observability.streaming import StreamingRecorder, attach_recorder
 from repro.prolog import Database, Engine
 
 
-def replayed_bus(source, query):
+def full_rate(engine):
+    return attach_recorder(engine, StreamingRecorder(sample_every=1))
+
+
+def recorded_aggregates(source, query):
     engine = Engine.from_source(source)
-    bus = attach(engine)
+    recorder = full_rate(engine)
     engine.ask(query)
-    return bus
+    return recorder.aggregates
 
 
 class TestCollectObservations:
+    """The per-box measurements the drift reporter compares."""
+
     def test_facts_counted_once_with_all_solutions(self):
-        bus = replayed_bus("p(1). p(2).", "p(X)")
-        observations = collect_observations(bus)
-        observation = observations[(("p", 1), "(-)")]
-        assert observation.invocations == 1
+        aggregates = recorded_aggregates("p(1). p(2).", "p(X)")
+        observation = aggregates.get(("p", 1), "(-)")
+        assert observation.boxes == 1
         assert observation.solutions == 2
         assert observation.successes == 1
         # Cost 1: only the p/1 call itself, no subgoals.
-        assert observation.total_cost == 1
+        assert observation.cost.total == 1
         assert observation.mean_cost == 1.0
         assert observation.success_rate == 1.0
 
     def test_subgoal_calls_charged_to_parent_box(self):
-        bus = replayed_bus(
+        aggregates = recorded_aggregates(
             "p(1). p(2). q(2). r(X) :- p(X), q(X).", "r(X)"
         )
-        observations = collect_observations(bus)
-        r = observations[(("r", 1), "(-)")]
-        assert r.invocations == 1
+        r = aggregates.get(("r", 1), "(-)")
+        assert r.boxes == 1
         assert r.solutions == 1  # only X = 2 survives q/1
         # r's box contains its own call, the p/1 call and two q/1 calls.
-        assert r.total_cost == 4
+        assert r.cost.total == 4
 
     def test_failed_call_has_zero_success_rate(self):
-        bus = replayed_bus("p(1).", "p(2)")
-        observation = collect_observations(bus)[(("p", 1), "(+)")]
-        assert observation.invocations == 1
+        aggregates = recorded_aggregates("p(1).", "p(2)")
+        observation = aggregates.get(("p", 1), "(+)")
+        assert observation.boxes == 1
         assert observation.successes == 0
         assert observation.solutions == 0
         assert observation.success_rate == 0.0
 
     def test_modes_keyed_separately(self):
         engine = Engine.from_source("p(1). p(2).")
-        bus = attach(engine)
+        recorder = full_rate(engine)
         engine.ask("p(X)")
         engine.ask("p(1)")
-        observations = collect_observations(bus)
-        assert (("p", 1), "(-)") in observations
-        assert (("p", 1), "(+)") in observations
-
-    def test_non_port_events_ignored(self):
-        bus = replayed_bus("p(1).", "p(1)")
-        with_all = collect_observations(bus)
-        ports_only = collect_observations(bus.by_kind("port"))
-        assert with_all.keys() == ports_only.keys()
+        aggregates = recorder.aggregates
+        assert aggregates.get(("p", 1), "(-)") is not None
+        assert aggregates.get(("p", 1), "(+)") is not None
 
 
 class TestDriftReporter:
@@ -99,11 +96,10 @@ class TestDriftReporter:
             "q(a). q(b).\n"
         )
         engine = Engine(database)
-        bus = attach(engine)
+        recorder = full_rate(engine)
         engine.ask("p(X)")
         engine.ask("q(X)")
-        database.events = None
-        records = DriftReporter(database).report(bus=bus)
+        records = DriftReporter(database).report(aggregates=recorder.aggregates)
         assert [r.indicator for r in records] == [("p", 1), ("q", 1)]
         assert records[0].flagged and not records[1].flagged
 

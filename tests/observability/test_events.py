@@ -1,9 +1,12 @@
-"""Tests for the typed event bus and its engine/database emitters."""
+"""Tests for the typed structural event bus and its emitters, and for
+the per-call facts the engine reports through its recorder slot."""
 
 import json
 
-from repro.observability import EventBus, PortEvent, attach, detach
+from repro.observability import EventBus, IndexEvent, attach, detach
+from repro.observability.streaming import StreamingRecorder, attach_recorder
 from repro.prolog import Database, Engine
+from repro.prolog.trace import CollectingTracer
 
 SOURCE = """
 p(1). p(2).
@@ -18,41 +21,44 @@ def instrumented(source=SOURCE, **engine_kwargs):
     return engine, bus
 
 
+def recorded(source=SOURCE, query="r(X)"):
+    """The box samples of one query under a full-rate recorder."""
+    engine = Engine.from_source(source)
+    recorder = attach_recorder(engine, StreamingRecorder(sample_every=1))
+    engine.ask(query)
+    return recorder
+
+
 class TestPortEvents:
+    """Byrd-box ports now reach consumers through the recorder slot."""
+
     def test_known_query_port_sequence(self):
-        engine, bus = instrumented("f(a).")
+        engine = Engine.from_source("f(a).")
+        engine.recorder = tracer = CollectingTracer()
         engine.ask("f(a)")
-        ports = [e.port for e in bus.by_kind("port")]
-        assert ports == ["call", "exit", "redo", "fail"]
+        assert tracer.ports() == ["call", "exit", "redo", "fail"]
 
     def test_call_event_fields(self):
-        engine, bus = instrumented()
-        engine.ask("r(X)")
-        call = bus.by_kind("port")[0]
-        assert call.port == "call"
+        call = recorded().samples()[0]
         assert call.indicator == ("r", 1)
         assert call.depth == 0
         assert call.mode == "(-)"
 
     def test_mode_rendered_per_argument(self):
-        engine, bus = instrumented("f(a, b).")
-        engine.ask("f(a, Y)")
-        call = bus.by_kind("port")[0]
+        call = recorded("f(a, b).", "f(a, Y)").samples()[0]
         assert call.mode == "(+, -)"
 
     def test_events_ordered_and_nested(self):
-        engine, bus = instrumented()
-        engine.ask("r(2)")
-        ports = [
-            (e.indicator[0], e.port) for e in bus.by_kind("port")
-        ]
-        # r's box opens first and closes last.
-        assert ports[0] == ("r", "call")
-        assert ports[-1] == ("r", "fail")
+        samples = recorded(query="r(2)").samples()
+        # r's box opens first and spans every other box.
+        r_box = samples[0]
+        assert r_box.indicator == ("r", 1)
+        for box in samples[1:]:
+            assert r_box.ts <= box.ts
+            assert box.ts + box.seconds <= r_box.ts + r_box.seconds
         # p is called (depth 1) inside r's box.
-        assert ("p", "call") in ports
-        p_call = next(e for e in bus.by_kind("port") if e.indicator == ("p", 1))
-        assert p_call.depth == 1
+        p_box = next(box for box in samples if box.indicator == ("p", 1))
+        assert p_box.depth == 1
 
     def test_timestamps_monotone(self):
         engine, bus = instrumented()
@@ -63,19 +69,17 @@ class TestPortEvents:
 
 class TestOtherEvents:
     def test_choicepoint_records_alternatives(self):
-        engine, bus = instrumented()
-        engine.ask("p(X)")
-        points = bus.by_kind("choicepoint")
-        assert points and points[0].indicator == ("p", 1)
-        assert points[0].alternatives == 2
+        # Both p/1 clauses are entered; the second is one backtrack.
+        _, metrics = Engine.from_source(SOURCE).run("p(X)")
+        assert metrics.clause_entries == 2
+        assert metrics.backtracks == 1
 
     def test_unify_success_and_failure(self):
         # Indexing off so the failing head is actually attempted.
         engine = Engine(Database.from_source(SOURCE, indexing=False))
-        bus = attach(engine)
-        engine.ask("q(1)")  # q(2) stored: one failing attempt
-        unify = bus.by_kind("unify")
-        assert [e.succeeded for e in unify] == [False]
+        _, metrics = engine.run("q(1)")  # q(2) stored: one failing attempt
+        assert metrics.unifications == 1
+        assert metrics.clause_entries == 0
 
     def test_index_hit_narrows(self):
         engine, bus = instrumented()
@@ -92,12 +96,9 @@ class TestOtherEvents:
         assert index[0].candidates == index[0].total == 2
 
     def test_wall_time_per_box(self):
-        engine, bus = instrumented()
-        engine.ask("r(X)")
-        wall = bus.by_kind("wall")
-        assert any(e.indicator == ("r", 1) for e in wall)
-        assert all(e.seconds >= 0.0 for e in wall)
-        assert bus.predicate_wall_seconds()[("r", 1)] > 0.0
+        aggregates = recorded().aggregates
+        assert all(box.wall.min >= 0.0 for _key, box in aggregates.items())
+        assert aggregates.get(("r", 1), "(-)").wall.total > 0.0
 
 
 class TestDisabledFastPath:
@@ -113,6 +114,7 @@ class TestDisabledFastPath:
         plain = Engine.from_source(SOURCE)
         _, plain_metrics = plain.run("r(X)")
         engine, bus = instrumented()
+        attach_recorder(engine, StreamingRecorder(sample_every=1))
         _, instrumented_metrics = engine.run("r(X)")
         assert plain_metrics.calls == instrumented_metrics.calls
         assert plain_metrics.unifications == instrumented_metrics.unifications
@@ -132,19 +134,16 @@ class TestDisabledFastPath:
 class TestBus:
     def test_limit_counts_drops(self):
         engine = Engine.from_source(SOURCE)
-        bus = attach(engine, EventBus(limit=5))
-        engine.ask("r(X)")
-        assert len(bus) == 5
+        bus = attach(engine, EventBus(limit=3))
+        engine.ask("r(X)")  # four index lookups
+        assert len(bus) == 3
         assert bus.truncated and bus.dropped > 0
 
     def test_counts_by_kind(self):
         engine, bus = instrumented()
         engine.ask("r(X)")
         counts = bus.counts()
-        assert counts["port.call"] == counts["port.fail"]
-        assert counts["port"] == sum(
-            counts[f"port.{p}"] for p in ("call", "exit", "redo", "fail")
-        )
+        assert counts == {"index": len(bus.by_kind("index"))}
 
     def test_clear(self):
         engine, bus = instrumented()
@@ -164,10 +163,11 @@ class TestSerialization:
             assert decoded["kind"] == event.kind
             assert "/" in decoded["predicate"]
 
-    def test_port_record_fields(self):
-        event = PortEvent("call", ("aunt", 2), 3, "(+, -)")
+    def test_index_record_fields(self):
+        event = IndexEvent(("aunt", 2), True, 1, 4, position=1, selectivity=0.25)
         record = event.to_record()
+        assert record["kind"] == "index"
         assert record["predicate"] == "aunt/2"
-        assert record["port"] == "call"
-        assert record["depth"] == 3
-        assert record["mode"] == "(+, -)"
+        assert record["hit"] is True
+        assert (record["candidates"], record["total"]) == (1, 4)
+        assert (record["position"], record["selectivity"]) == (1, 0.25)

@@ -1,13 +1,12 @@
-"""Tests for the Chrome/Perfetto trace export: spans, event-bus box
-windows and recorder samples rendered as Trace Event JSON."""
+"""Tests for the Chrome/Perfetto trace export: spans and recorder box
+samples rendered as Trace Event JSON."""
 
 import json
 
-from repro.observability import SpanRecorder, attach
+from repro.observability import SpanRecorder
 from repro.observability.streaming import StreamingRecorder, attach_recorder
 from repro.observability.streaming.perfetto import (
     perfetto_trace,
-    trace_events_from_bus,
     trace_events_from_samples,
     trace_events_from_spans,
     write_trace,
@@ -44,24 +43,6 @@ class TestSpanEvents:
         events = trace_events_from_spans(spans)
         assert events[0]["dur"] == 0.0
         assert events[0]["args"]["skipped"] is True
-
-
-class TestBusEvents:
-    def test_port_crossings_pair_into_windows(self):
-        engine = Engine.from_source(SOURCE)
-        bus = attach(engine)
-        engine.ask("p")
-        events = trace_events_from_bus(bus)
-        names = {event["name"] for event in events}
-        assert {"p/0", "q/0", "r/0"} <= names
-        assert all(event["dur"] >= 0.0 for event in events)
-        # Rebased: the earliest window starts at zero.
-        assert min(event["ts"] for event in events) == 0.0
-
-    def test_empty_bus_yields_no_events(self):
-        engine = Engine.from_source(SOURCE)
-        bus = attach(engine)
-        assert trace_events_from_bus(bus) == []
 
 
 class TestSampleEvents:

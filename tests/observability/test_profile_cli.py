@@ -79,12 +79,11 @@ class TestProfileCommand:
     def test_event_records_carry_predicates(self, program_file, tmp_path):
         out = str(tmp_path / "profile.jsonl")
         main(["profile", program_file, QUERY, "--json", out])
-        events = [r for r in load_jsonl(out) if r["type"] == "event"]
-        kinds = {r["kind"] for r in events}
-        assert "port" in kinds and "index" in kinds
-        assert all(
-            "/" in r["predicate"] for r in events if r["kind"] == "port"
-        )
+        records = load_jsonl(out)
+        events = [r for r in records if r["type"] == "event"]
+        assert "index" in {r["kind"] for r in events}
+        boxes = [r for r in records if r["type"] in ("stream", "sample")]
+        assert boxes and all("/" in r["predicate"] for r in boxes)
 
     def test_stderr_summary(self, program_file, capsys):
         main(["profile", program_file, QUERY])

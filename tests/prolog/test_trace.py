@@ -16,7 +16,7 @@ r(X) :- p(X), q(X).
 def traced_engine(source=SOURCE, **tracer_kwargs):
     engine = Engine.from_source(source)
     tracer = CollectingTracer(**tracer_kwargs)
-    engine.tracer = tracer
+    engine.recorder = tracer
     return engine, tracer
 
 
@@ -134,7 +134,7 @@ class TestTraceAsOrderOracle:
         ).reorder()
         engine = program.engine()
         tracer = CollectingTracer(only_predicates={"wide", "narrow"})
-        engine.tracer = tracer
+        engine.recorder = tracer
         engine.ask("both(X)", limit=1)
         calls = tracer.lines("call")
         assert calls[0].startswith("narrow")  # the reordered first goal

@@ -13,6 +13,8 @@ import sys
 import pytest
 
 from repro.errors import BudgetExceededError, DepthLimitExceeded, ExistenceError
+from repro.observability import attach
+from repro.programs import REGISTRY, corporate, family_tree
 from repro.prolog import Engine, Struct, Var
 from repro.prolog.compile import VM_BUILTIN, VM_CALL, VM_CUT, VM_DET, VM_GENERIC
 from repro.prolog.vm import (
@@ -63,6 +65,67 @@ class TestTrampolineDepth:
         engine = Engine.from_source("p(a).", vm=True)
         with pytest.raises(ExistenceError):
             engine.ask("missing(X)")
+
+
+def paper_queries():
+    """The bundled programs' table queries (slices of the long sweeps)."""
+    for _, query in corporate.TABLE3_QUERIES:
+        yield "corporate", query
+    for name, arity in family_tree.TESTED_PREDICATES:
+        variables = ", ".join(f"V{i}" for i in range(arity))
+        yield "family_tree", f"{name}({variables})"
+    for program in ("meal", "p58", "team", "kmbench"):
+        for _, queries in REGISTRY[program].TABLE4_QUERIES:
+            for query in queries[:3]:
+                yield program, query
+    for _, query in REGISTRY["geography"].QUESTIONS:
+        yield "geography", query
+
+
+TABLED_CLOSURE = """
+    :- table path/2.
+    edge(a, b). edge(b, c). edge(c, d). edge(b, d).
+    path(X, Y) :- edge(X, Y).
+    path(X, Y) :- path(X, Z), edge(Z, Y).
+"""
+
+
+def bus_run(source, query, vm):
+    """Solutions, counters and structural events of one bus-attached run."""
+    engine = Engine.from_source(source, vm=vm)
+    bus = attach(engine)
+    keys = [solution.key() for solution in engine.ask(query)]
+    events = []
+    for event in bus:
+        record = event.to_record()
+        del record["ts"]
+        events.append(record)
+    assert {record["kind"] for record in events} <= {"index", "table"}
+    return keys, engine.metrics.to_dict(), events
+
+
+class TestVmWithEventBus:
+    """An attached bus no longer sends the VM to the generator path."""
+
+    @pytest.mark.parametrize("program, query", list(paper_queries()))
+    def test_paper_programs_match_generator_path(self, program, query):
+        source = REGISTRY[program].source()
+        assert bus_run(source, query, vm=True) == bus_run(source, query, vm=False)
+
+    @pytest.mark.parametrize("query", ["path(a, Where)", "path(X, Y)"])
+    def test_table_events_match_generator_path(self, query):
+        machine = bus_run(TABLED_CLOSURE, query, vm=True)
+        assert machine == bus_run(TABLED_CLOSURE, query, vm=False)
+        assert any(record["kind"] == "table" for record in machine[2])
+
+    def test_bus_run_stays_on_the_machine(self, monkeypatch):
+        engine = Engine.from_source(MEMBER, vm=True)
+        attach(engine)
+        monkeypatch.setattr(
+            engine, "_solve_user_compiled",
+            lambda *args: pytest.fail("fell back to the generator path"),
+        )
+        assert len(engine.ask("member(X, [a, b, c])")) == 3
 
 
 class TestChoicePointData:
