@@ -16,7 +16,7 @@ Usage::
     PYTHONPATH=src python benchmarks/engine_bench.py \
         --check BENCH_engine.json --tolerance 2.0
 
-Workloads (all run on the default compiled engine):
+Workloads (all run on the default engine, the bytecode VM):
 
 ``indexed_point_lookup``
     One fact out of 5000 via first-argument indexing — the best case.
@@ -25,11 +25,14 @@ Workloads (all run on the default compiled engine):
     i.e. the raw clause-try rate. Compiled fingerprints fast-reject
     4999 of the tries.
 ``deep_conjunction``
-    A 24-goal flat conjunction of fact lookups — exercises the
-    flattened goal-list loop that replaced the nested generator ladder.
+    A 24-goal flat conjunction of fact lookups — the machine's inline
+    call entry and continuation return, 25 times per solution.
 ``arith_chain``
     A 24-goal ``is/2`` chain — deep conjunction dominated by builtin
     dispatch rather than clause resolution.
+``builtin_heavy``
+    Four deterministic builtins per link of a 24-link chain — the
+    native DET-op dispatch cost.
 ``unindexed_join``
     A two-literal join over unindexed facts — clause tries plus real
     backtracking. The engine's bulk scan plans short-circuit the
@@ -120,14 +123,6 @@ def workload_deep_conjunction():
     )
 
 
-def workload_deep_conjunction_vm():
-    return (
-        Engine.from_source(_deep_conjunction_source(), vm=True),
-        parse_term("chain"),
-        1,
-    )
-
-
 def _arith_chain_source():
     body = ", ".join(f"X{i} is {i} + 1" for i in range(CHAIN_LENGTH))
     return f"chain(X) :- {body}, X = done."
@@ -141,19 +136,10 @@ def workload_arith_chain():
     )
 
 
-def workload_arith_chain_vm():
-    return (
-        Engine.from_source(_arith_chain_source(), vm=True),
-        parse_term("chain(X)"),
-        1,
-    )
-
-
 def _builtin_heavy_source():
     # Four deterministic builtin goals (one binding arith, three
     # comparisons) per chain link: isolates builtin-op dispatch cost —
-    # the generator path boxes each goal in its own generator, the VM
-    # runs the whole chain as inline DET ops.
+    # the VM runs the whole chain as inline DET ops.
     links = []
     for i in range(CHAIN_LENGTH):
         links.append(
@@ -165,14 +151,6 @@ def _builtin_heavy_source():
 def workload_builtin_heavy():
     return (
         Engine.from_source(_builtin_heavy_source()),
-        parse_term("chain(X)"),
-        1,
-    )
-
-
-def workload_builtin_heavy_vm():
-    return (
-        Engine.from_source(_builtin_heavy_source(), vm=True),
         parse_term("chain(X)"),
         1,
     )
@@ -240,11 +218,8 @@ WORKLOADS = {
     "indexed_point_lookup": workload_indexed_point_lookup,
     "unindexed_point_lookup": workload_unindexed_point_lookup,
     "deep_conjunction": workload_deep_conjunction,
-    "deep_conjunction_vm": workload_deep_conjunction_vm,
     "arith_chain": workload_arith_chain,
-    "arith_chain_vm": workload_arith_chain_vm,
     "builtin_heavy": workload_builtin_heavy,
-    "builtin_heavy_vm": workload_builtin_heavy_vm,
     "unindexed_join": workload_unindexed_join,
     "unindexed_join_legacy": workload_unindexed_join_legacy,
     "indexed_join": workload_indexed_join,
@@ -365,10 +340,7 @@ def relative_gates(results):
     - multi-argument indexing must cut ``indexed_join`` backtracks to
       <=1/10 of the unindexed scan's;
     - bottom-up ``datalog_closure`` must beat the tabled top-down
-      comparator by >=3x, with identical answer counts;
-    - the bytecode VM must run ``deep_conjunction``, ``arith_chain``
-      and ``builtin_heavy`` >=1.5x faster than the generator path on
-      the same program, with byte-identical counters and solutions.
+      comparator by >=3x, with identical answer counts.
 
     Gates whose workloads were not part of this run are skipped, so
     ``--workload``-filtered runs still check cleanly.
@@ -399,28 +371,6 @@ def relative_gates(results):
                 f"is not <=1/10 of unindexed "
                 f"({join['metrics']['backtracks']})"
             )
-
-    for base_name in ("deep_conjunction", "arith_chain", "builtin_heavy"):
-        base = workloads.get(base_name)
-        vm = workloads.get(f"{base_name}_vm")
-        if base and vm:
-            if vm["ops_per_sec"] < 1.5 * base["ops_per_sec"]:
-                failures.append(
-                    f"{base_name}_vm: {vm['ops_per_sec']} ops/s is not "
-                    f">=1.5x the generator path "
-                    f"({base['ops_per_sec']} ops/s)"
-                )
-            if vm["metrics"] != base["metrics"]:
-                failures.append(
-                    f"{base_name}_vm: counters {vm['metrics']} diverge from "
-                    f"the generator path {base['metrics']} (the VM must be "
-                    "counter-neutral)"
-                )
-            if vm["solutions"] != base["solutions"]:
-                failures.append(
-                    f"{base_name}_vm: {vm['solutions']} solutions != "
-                    f"{base['solutions']} on the generator path"
-                )
 
     closure = workloads.get("datalog_closure")
     tabled = workloads.get("datalog_closure_tabled")

@@ -296,7 +296,6 @@ def command_run(args: argparse.Namespace) -> int:
     engine = Engine(
         database,
         table_all=args.table_all,
-        vm=getattr(args, "vm", False),
         budget=_deadline_budget(args),
         eval_strategy=getattr(args, "eval_strategy", "topdown"),
     )
@@ -874,10 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="run a query against a file")
     run.add_argument("file")
     run.add_argument("query")
-    run.add_argument("--vm", action="store_true",
-                     help="execute on the bytecode VM trampoline instead of "
-                          "the generator clause loop (same answers and "
-                          "counters; see docs/VM.md)")
     run.add_argument("--dump-bytecode", action="store_true",
                      help="print the compiled bytecode of every predicate "
                           "to stderr before running")

@@ -265,7 +265,7 @@ class StreamingRecorder:
         self.sync()
         return sum(self._aggregates.total_calls.values())
 
-    # -- box lifecycle (driven by Engine._record_boxed) -------------------
+    # -- box lifecycle (driven by the engine and the VM) ------------------
 
     def open_box(
         self, indicator: Indicator, mode: str, depth: int, metrics, goal

@@ -24,8 +24,7 @@ into a :class:`CompiledClause` skeleton where
 * the **body is materialized lazily** — only after the head unifies —
   so failed attempts never copy the body at all;
 * conjunction chains are flattened at compile time into a goal list,
-  letting the engine run one flat loop instead of a nested
-  ``_solve_conjunction`` generator ladder;
+  which the VM lowers to one linear op sequence;
 * the head's per-argument **fingerprints** (the index keys shared with
   the database's bucket indexes) are cached so calls whose bound
   arguments cannot match skip unification entirely.
@@ -51,31 +50,45 @@ all: the stored term itself is reused on every instantiation.
 
 VM bytecode
 -----------
-On top of the build programs, each clause body can be lowered to the
-linear **VM bytecode** executed by :mod:`repro.prolog.vm` (the
-trampoline that replaces the generator ladder). Lowering is lazy —
-:meth:`CompiledClause.vm_code` compiles on first use and caches — so
-engines that never select the VM pay nothing. Each op is a tuple whose
-first element is one of:
+On top of the build programs, each clause body is lowered to the
+linear **VM bytecode** executed by :mod:`repro.prolog.vm`, the engine
+behind every compiled ``Engine``. Lowering is lazy —
+:meth:`CompiledClause.vm_code` compiles on first use and caches. Each
+op is a tuple whose first element is one of:
 
-=============  =========================================================
-op             meaning
-=============  =========================================================
-``VM_CALL``    ``(op, indicator, build, argspecs)`` — a user-predicate
-               call, resolved inline by the machine's clause-selection
-               loop
-``VM_DET``     ``(op, indicator, fn, build, argspecs)`` — a
-               deterministic builtin (``is/2``, comparisons,
-               ``=/2``...) run as one native function call: no
-               generator, no choice point
-``VM_BUILTIN`` ``(op, indicator, fn, build, argspecs)`` — any other
-               registered builtin, run as an iterator choice point
-``VM_GENERIC`` ``(op, code, const)`` — control constructs (``;``,
-               ``->``), variable goals, and anything else the machine
-               delegates verbatim to ``Engine.solve_goal``
-``VM_CUT``     ``(op,)`` — prune choice points to the call's barrier
-``VM_FAIL``    ``(op,)`` — unconditional failure (``fail``/``false``)
-=============  =========================================================
+================ ======================================================
+op               meaning
+================ ======================================================
+``VM_CALL``      ``(op, indicator, build, argspecs)`` — a
+                 user-predicate call, resolved inline by the machine's
+                 clause-selection loop
+``VM_DET``       ``(op, indicator, fn, build, argspecs, source)`` — a
+                 deterministic builtin (``is/2``, comparisons,
+                 ``=/2``...) run as one native function call: no
+                 generator, no choice point
+``VM_BUILTIN``   ``(op, indicator, fn, build, argspecs)`` — any
+                 other registered builtin, run as an iterator choice
+                 point
+``VM_GENERIC``   ``(op, code, const)`` — a variable goal (or a
+                 non-callable term), delegated to ``Engine.solve_goal``
+``VM_CUT``       ``(op,)`` — prune choice points to the cut barrier
+``VM_FAIL``      ``(op,)`` — unconditional failure (``fail``/``false``)
+``VM_TRY``       ``(op, else_pc)`` — ``;``: push an alternative that
+                 resumes at ``else_pc`` with its own trail mark
+``VM_JUMP``      ``(op, pc)`` — continue at ``pc``
+``VM_IF``        ``(op, else_pc, fresh_frame)`` — ``->``: push the
+                 else alternative and open a local cut barrier for the
+                 condition (a fresh cut frame too when the condition
+                 holds a delegated goal)
+``VM_THEN``      ``(op,)`` — the condition succeeded: drop the else
+                 alternative and the condition's choice points
+``VM_NOT``       ``(op, indicator, after_pc, fresh_frame, source)`` —
+                 ``\\+``/``not``: a charged call that pushes the
+                 "negated goal failed" alternative (resuming at
+                 ``after_pc``) and opens a local barrier
+``VM_NOT_FAIL``  ``(op,)`` — the negated goal succeeded: drop the
+                 alternative and fail
+================ ======================================================
 
 ``build`` is a specialized callable — ``build(frame) -> args`` — that
 materializes the goal's argument tuple without building the goal term
@@ -83,7 +96,10 @@ itself (an instance of one of the ``_*Args`` classes below, picked per
 goal shape, all plain picklable data). ``argspecs`` is its declarative
 source, kept on the op for the disassembler: each spec is ``(0, term)``
 (shared ground argument), ``(1, slot)`` (one frame variable), or
-``(2, code)`` (a build program).
+``(2, code)`` (a build program). ``source`` is the goal's own
+``(code, const)`` pair, from which the machine rebuilds the called term
+for a recorder's box (so a folded ``is/2`` still shows its expression;
+calls and other builtins rebuild it from their argument tuple).
 The classification is sound to do at compile time because the builtin
 registry is populated at import and never mutated afterwards, and
 ``Engine.solve_goal`` resolves builtins before user clauses.
@@ -106,6 +122,13 @@ __all__ = [
     "VM_GENERIC",
     "VM_CUT",
     "VM_FAIL",
+    "VM_TRY",
+    "VM_JUMP",
+    "VM_IF",
+    "VM_THEN",
+    "VM_NOT",
+    "VM_NOT_FAIL",
+    "VM_EXIT",
     "ARG_CONST",
     "ARG_SLOT",
     "ARG_CODE",
@@ -123,6 +146,14 @@ VM_BUILTIN = 2
 VM_GENERIC = 3
 VM_CUT = 4
 VM_FAIL = 5
+VM_TRY = 6
+VM_JUMP = 7
+VM_IF = 8
+VM_THEN = 9
+VM_NOT = 10
+VM_NOT_FAIL = 11
+#: Never emitted by the compiler: the machine's box-exit continuation.
+VM_EXIT = 12
 
 #: Argument-spec tags for VM_CALL/VM_DET/VM_BUILTIN ops.
 ARG_CONST = 0
@@ -261,7 +292,7 @@ class CompiledClause:
         "head_key",
         "head_keys",
         "goals",
-        "_vm",
+        "vm_ops",
     )
 
     def __init__(self, head: Term, body: Term):
@@ -292,7 +323,8 @@ class CompiledClause:
             goals.append(_compile_term(goal, slots, names))
         self.goals = tuple(goals)
         self.var_names = tuple(names)
-        self._vm = None
+        #: The body's VM bytecode once :meth:`vm_code` has lowered it.
+        self.vm_ops = None
         if isinstance(head, Struct):
             # Late import: database imports this module's compiler, so
             # the fingerprint helper is fetched lazily to avoid a cycle.
@@ -368,10 +400,10 @@ class CompiledClause:
         head unification returns doubles as the machine's register
         file for this activation.
         """
-        ops = self._vm
+        ops = self.vm_ops
         if ops is None:
             ops = _compile_vm_body(self.goals)
-            self._vm = ops
+            self.vm_ops = ops
         return ops
 
 
@@ -546,6 +578,40 @@ def _fold_arith_consts(indicator, specs):
     return specs if out is None else tuple(out)
 
 
+def _spec_goal(spec) -> Tuple[_Code, Optional[Term]]:
+    """An argspec read back as a ``(code, const)`` goal pair."""
+    tag, payload = spec
+    if tag == ARG_CONST:
+        return None, payload
+    if tag == ARG_SLOT:
+        return ((_OP_SLOT, payload, 0),), None
+    return payload, None
+
+
+def _goal_shape(code, const):
+    """``(indicator, argspecs)`` of a compiled goal, or ``(None, None)``
+    for a variable or a non-callable term."""
+    if const is not None:
+        if isinstance(const, Atom):
+            return (const.name, 0), ()
+        if isinstance(const, Struct):
+            return (
+                (const.name, len(const.args)),
+                tuple((ARG_CONST, arg) for arg in const.args),
+            )
+        return None, None
+    op, a, b = code[-1]
+    if op == _OP_BUILD:
+        return (a, b), _split_arg_programs(code, b)
+    return None, None
+
+
+#: Ops that read the activation's cut frame (delegated goals can set its
+#: ``cut`` flag): a condition or negated goal containing one runs with a
+#: frame of its own, so a cut it performs stays local.
+_FRAME_OPS = (VM_BUILTIN, VM_GENERIC)
+
+
 def _compile_vm_body(goals) -> Tuple[tuple, ...]:
     """Lower a clause body (its ``(code, const)`` goal pairs) to VM ops."""
     # Late imports: builtins pulls in the whole registry (harmless by
@@ -554,50 +620,95 @@ def _compile_vm_body(goals) -> Tuple[tuple, ...]:
     from .builtins import lookup
     from .vm import DET_BUILTINS
 
-    ops = []
-    for code, const in goals:
-        indicator = None
-        specs: Optional[tuple] = None
-        if const is not None:
-            if isinstance(const, Atom):
-                indicator = (const.name, 0)
-                specs = ()
-            elif isinstance(const, Struct):
-                indicator = (const.name, len(const.args))
-                specs = tuple((ARG_CONST, arg) for arg in const.args)
-        else:
-            op, a, b = code[-1]
-            if op == _OP_BUILD:
-                indicator = (a, b)
-                specs = _split_arg_programs(code, b)
-        if indicator is None or indicator in ((";", 2), ("->", 2)):
-            # Variable goals, non-callable terms, and control structs
-            # run through ``Engine.solve_goal`` verbatim — identical
-            # semantics (cut transparency, errors) and charges.
+    ops: list = []
+
+    def needs_frame(start: int) -> bool:
+        return any(op[0] in _FRAME_OPS for op in ops[start:])
+
+    def lower(code, const) -> None:
+        indicator, specs = _goal_shape(code, const)
+        if indicator is None:
+            # A variable goal (or a non-callable term): Engine.solve_goal
+            # resolves, charges and raises exactly as the interpreter.
             ops.append((VM_GENERIC, code, const))
-            continue
+            return
         name, arity = indicator
         if arity == 0:
             if name == "!":
                 ops.append((VM_CUT,))
-                continue
+                return
             if name in ("fail", "false"):
                 ops.append((VM_FAIL,))
-                continue
-            if name == "true":  # dropped at compile time; defensive
-                continue
+                return
+            if name == "true":
+                return
+        elif arity == 2 and name == ",":
+            lower(*_spec_goal(specs[0]))
+            lower(*_spec_goal(specs[1]))
+            return
+        elif arity == 2 and name == ";":
+            left_indicator, left_specs = _goal_shape(*_spec_goal(specs[0]))
+            if left_indicator is None:
+                # ``(G ; E)`` with G a variable may be bound to an
+                # if-then at run time, which changes the meaning of E:
+                # the whole disjunction stays with Engine.solve_goal.
+                ops.append((VM_GENERIC, code, const))
+                return
+            if left_indicator == ("->", 2):
+                lower_if(left_specs[0], left_specs[1], specs[1])
+                return
+            at = len(ops)
+            ops.append(None)
+            lower(*_spec_goal(specs[0]))
+            jump = len(ops)
+            ops.append(None)
+            ops[at] = (VM_TRY, len(ops))
+            lower(*_spec_goal(specs[1]))
+            ops[jump] = (VM_JUMP, len(ops))
+            return
+        elif arity == 2 and name == "->":
+            lower_if(specs[0], specs[1], None)
+            return
+        elif arity == 1 and name in ("\\+", "not"):
+            if _goal_shape(*_spec_goal(specs[0]))[0] is not None:
+                at = len(ops)
+                ops.append(None)
+                lower(*_spec_goal(specs[0]))
+                fresh = needs_frame(at + 1)
+                ops.append((VM_NOT_FAIL,))
+                ops[at] = (VM_NOT, indicator, len(ops), fresh, (code, const))
+                return
         det = DET_BUILTINS.get(indicator)
         if det is not None:
-            specs = _fold_arith_consts(indicator, specs)
-            ops.append((VM_DET, indicator, det, _make_args_builder(specs),
-                        specs))
-            continue
+            folded = _fold_arith_consts(indicator, specs)
+            ops.append((VM_DET, indicator, det, _make_args_builder(folded),
+                        folded, (code, const)))
+            return
         build = _make_args_builder(specs)
         registered = lookup(indicator)
         if registered is not None:
             ops.append((VM_BUILTIN, indicator, registered.fn, build, specs))
-            continue
+            return
         ops.append((VM_CALL, indicator, build, specs))
+
+    def lower_if(condition, then_part, else_part) -> None:
+        at = len(ops)
+        ops.append(None)
+        lower(*_spec_goal(condition))
+        fresh = needs_frame(at + 1)
+        ops.append((VM_THEN,))
+        lower(*_spec_goal(then_part))
+        jump = len(ops)
+        ops.append(None)
+        ops[at] = (VM_IF, len(ops), fresh)
+        if else_part is None:
+            ops.append((VM_FAIL,))
+        else:
+            lower(*_spec_goal(else_part))
+        ops[jump] = (VM_JUMP, len(ops))
+
+    for code, const in goals:
+        lower(code, const)
     return tuple(ops)
 
 

@@ -2,24 +2,26 @@
 
 Depth-first SLD resolution with backtracking, exactly the execution
 model the paper assumes: clauses tried in stored order, goals solved
-left to right, backtracking on failure. Implementation is generator
-based — ``solve_goal`` yields once per solution — with a WAM-style
-binding trail undone between alternatives.
+left to right, backtracking on failure, with a WAM-style binding trail
+undone between alternatives.
 
-Clause attempts run on compiled skeletons by default (see
-:mod:`repro.prolog.compile`): heads are instantiated from slot-numbered
-build programs and bodies are materialized lazily, only after the head
-unifies, so a failed attempt never copies the body. Conjunctions run as
-a flat goal-list loop (:meth:`Engine._solve_body`) instead of a nested
-generator ladder. ``Engine(compiled=False)`` restores the interpreted
-rename-per-attempt path, which the differential tests hold the compiled
-path against, solution for solution and counter for counter.
+A compiled engine (the default) runs every user-predicate call on the
+bytecode VM (:mod:`repro.prolog.vm`): clauses are compiled once to
+slot-numbered skeletons (:mod:`repro.prolog.compile`) and their bodies,
+control constructs included, to linear bytecode run by one iterative
+trampoline. :meth:`Engine.solve_goal` is the generator-based entry the
+query API, meta-calls (``call/N``, ``findall/3``, ...) and variable
+goals go through — ``solve_goal`` yields once per solution — and
+``Engine(compiled=False)`` keeps the seed interpreter, the
+rename-per-attempt generator path that the differential tests hold the
+VM against, solution for solution and counter for counter.
 
-Cut is implemented with per-call *frames*: executing ``!`` succeeds
-immediately; when it is asked for another solution it sets the frame's
-``cut`` flag, which (a) stops retrying goals to its left in the body and
-(b) stops the clause loop from trying further clauses. ``;``, ``->``
-and ``\\+`` introduce the standard local barriers.
+On the generator path cut is implemented with per-call *frames*:
+executing ``!`` succeeds immediately; when it is asked for another
+solution it sets the frame's ``cut`` flag, which (a) stops retrying
+goals to its left in the body and (b) stops the clause loop from trying
+further clauses. ``;``, ``->`` and ``\\+`` introduce the standard local
+barriers.
 
 Safety bounds (``max_depth``, ``call_budget``) turn the infinite
 recursions that illegal modes cause (§V-B) into catchable exceptions,
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..observability.events import EventBus
@@ -44,7 +47,7 @@ from ..robustness import faults
 from ..robustness.budget import Budget
 from .builtins import BUILTINS, lookup
 from .compile import flatten_conjunction
-from .database import Database, first_arg_key
+from .database import Database
 from .metrics import Metrics
 from .tabling import TableStore, solve_tabled
 from .reader.parser import parse_term
@@ -156,8 +159,8 @@ class Engine:
     def ensure_recursion_capacity(cls, max_depth: int) -> None:
         """Raise the interpreter recursion limit once for ``max_depth``.
 
-        The generator chain nests Python frames proportionally to the
-        Prolog depth. The computed need is clamped to
+        The interpreter's generator chain (and meta-call nesting on any
+        engine) takes Python frames in proportion to the Prolog depth. The computed need is clamped to
         :data:`RECURSION_LIMIT_CAP`, the limit is never lowered, and a
         module-level high-water mark makes repeat calls (one engine per
         calibration sample, say) free.
@@ -182,7 +185,6 @@ class Engine:
         table_all: bool = False,
         adjust_recursion_limit: bool = True,
         compiled: bool = True,
-        vm: bool = False,
         budget: Optional[Budget] = None,
         eval_strategy: str = "topdown",
     ):
@@ -196,8 +198,8 @@ class Engine:
         #: :meth:`solve`/:meth:`ask` takes precedence).
         self.budget = budget
         #: The budget charged by the query currently executing; set and
-        #: restored by :meth:`solve` so nested machinery (``_solve_body``,
-        #: the tabling fixpoint) can reach it without plumbing.
+        #: restored by :meth:`solve` so nested machinery (the VM, the
+        #: tabling fixpoint) can reach it without plumbing.
         self._active_budget: Optional[Budget] = None
         self.occurs_check = occurs_check
         #: Captured output of write/nl/etc.
@@ -228,33 +230,25 @@ class Engine:
         self._table_producing: List = []
         #: Nesting depth of negation-as-failure (stratification check).
         self._negation_depth = 0
-        #: Solve user predicates on compiled skeletons (the default) or
-        #: on the interpreted rename-per-attempt path. Bound once here
-        #: so the hot dispatch in ``solve_goal`` (and the tabling
+        #: Solve user predicates on the bytecode VM (the default; see
+        #: :mod:`repro.prolog.vm`) or on the interpreted
+        #: rename-per-attempt path, the differential oracle. Bound once
+        #: here so the hot dispatch in ``solve_goal`` (and the tabling
         #: producer, which calls ``engine._solve_user`` directly) pays
         #: no per-call branching.
         self.compiled = compiled
-        #: Run user-predicate calls on the bytecode trampoline (see
-        #: :mod:`repro.prolog.vm`) instead of the generator clause
-        #: loop. Implies ``compiled``: the VM executes the same slot
-        #: skeletons, lowered one step further to linear bytecode.
-        if vm and not compiled:
-            raise ValueError("vm=True requires compiled=True")
-        self.vm = vm
         #: Clause-selection memo for the VM call path, keyed by
         #: ``(indicator, arg_keys)`` with the database generation
         #: stored in each cell — index probes are a pure function of
         #: the argument keys, so a generation-validated hit skips the
         #: defines/matching/compiled-program lookups entirely.
         self._vm_call_cache: dict = {}
-        if vm:
-            self._solve_user = self._solve_user_vm
+        if compiled:
+            from .vm import solve_vm
+
+            self._solve_user = partial(solve_vm, self)
         else:
-            self._solve_user = (
-                self._solve_user_compiled
-                if compiled
-                else self._solve_user_interpreted
-            )
+            self._solve_user = self._solve_user_interpreted
         #: Evaluation strategy: ``"topdown"`` (the default — pure SLD,
         #: counters byte-identical to every earlier release),
         #: ``"bottomup"`` (route every eligible datalog-like stratum to
@@ -512,162 +506,6 @@ class Engine:
             self.trail.undo_to(mark)
             yield from self.solve_goal(else_part, depth, frame)
 
-    def _solve_user_vm(
-        self, goal: Term, indicator: Indicator, depth: int
-    ) -> Iterator[None]:
-        """Bytecode-VM dispatch for one user-predicate call.
-
-        The trampoline (:mod:`repro.prolog.vm`) runs whenever no
-        recorder and no bottom-up dispatcher is attached — an event bus
-        is fine, since it sees only structural events the VM emits the
-        same way. A recorder routes the call to the generator path,
-        whose ``solve_goal`` opens one box per call. The check is per
-        call, so attaching a recorder mid-session flips the very next
-        call.
-        """
-        if self.recorder is not None or self._bottomup is not None:
-            return self._solve_user_compiled(goal, indicator, depth)
-        from .vm import solve_vm
-
-        return solve_vm(self, goal, indicator, depth)
-
-    def _solve_user_compiled(
-        self, goal: Term, indicator: Indicator, depth: int
-    ) -> Iterator[None]:
-        """The default clause-try loop, on compiled skeletons.
-
-        Per attempt: the cached head fingerprints reject calls where
-        *any* bound argument's key cannot match (no allocation at all),
-        the head alone is instantiated from its slot program, and the
-        body is materialized only after the head unifies — so failed
-        attempts never copy the body. Counter discipline is identical
-        to :meth:`_solve_user_interpreted`: fast rejections still
-        charge a failed unification.
-
-        On unnarrowed scans (``indexing=False`` or an unindexable call)
-        with a bound first argument, the database's cached
-        :meth:`~repro.prolog.database.Database.scan_plan` replaces the
-        per-clause rejection loop: runs of rejectable clauses are
-        skipped in one step and their counters charged in bulk, with
-        totals byte-identical to the plain loop under every consumption
-        pattern (early close, cut, full exhaustion).
-        """
-        if depth >= self.max_depth:
-            raise DepthLimitExceeded(
-                f"depth {self.max_depth} exceeded at {indicator[0]}/{indicator[1]}"
-            )
-        database = self.database
-        clauses = database.matching_clauses(goal)
-        if not clauses:
-            return
-        program = database.compiled_program(indicator)
-        metrics = self.metrics
-        trail = self.trail
-        occurs = self.occurs_check
-        frame = Frame()
-        goal_args: Tuple[Term, ...] = ()
-        goal_keys = None
-        bound_positions: Tuple[int, ...] = ()
-        plan = None
-        if indicator[1]:
-            goal_args = deref(goal).args
-            if len(clauses) > 1:
-                # The fingerprints only pay for themselves when there
-                # is more than one candidate to reject.
-                goal_keys = tuple(first_arg_key(arg) for arg in goal_args)
-                bound_positions = tuple(
-                    position
-                    for position, key in enumerate(goal_keys)
-                    if key is not None
-                )
-                if not bound_positions:
-                    goal_keys = None
-                elif goal_keys[0] is not None:
-                    plan = database.scan_plan(indicator, clauses, goal_keys[0])
-        body_depth = depth + 1
-        if plan is not None:
-            processed = 0
-            for skipped, clause in plan:
-                if skipped:
-                    # Bulk-charge the skipped clauses exactly as if each
-                    # had been fingerprint-rejected in turn: one failed
-                    # unification + fast reject apiece, and a backtrack
-                    # for every processed clause after the first.
-                    metrics.unifications += skipped
-                    metrics.head_fast_rejects += skipped
-                    metrics.backtracks += skipped if processed else skipped - 1
-                    processed += skipped
-                if clause is None:
-                    return
-                if processed:
-                    metrics.record_backtrack()
-                processed += 1
-                compiled = program[clause.index]
-                head_keys = compiled.head_keys
-                rejected = False
-                for position in bound_positions:
-                    head_key = head_keys[position]
-                    if head_key is not None and head_key != goal_keys[position]:
-                        rejected = True
-                        break
-                if rejected:
-                    metrics.record_fast_reject()
-                    continue
-                mark = trail.mark()
-                slots = compiled.unify_head(goal_args, trail, occurs)
-                metrics.record_instantiation()
-                if slots is not None:
-                    metrics.record_unification(True)
-                    goals = compiled.materialize_body(slots)
-                    count = len(goals)
-                    if count == 0:
-                        yield
-                    elif count == 1:
-                        yield from self.solve_goal(goals[0], body_depth, frame)
-                    else:
-                        yield from self._solve_body(goals, body_depth, frame)
-                else:
-                    metrics.record_unification(False)
-                trail.undo_to(mark)
-                if frame.cut:
-                    return
-            return
-        first_attempt = True
-        for clause in clauses:
-            if not first_attempt:
-                metrics.record_backtrack()
-            first_attempt = False
-            compiled = program[clause.index]
-            if goal_keys is not None:
-                head_keys = compiled.head_keys
-                rejected = False
-                for position in bound_positions:
-                    head_key = head_keys[position]
-                    if head_key is not None and head_key != goal_keys[position]:
-                        rejected = True
-                        break
-                if rejected:
-                    metrics.record_fast_reject()
-                    continue
-            mark = trail.mark()
-            slots = compiled.unify_head(goal_args, trail, occurs)
-            metrics.record_instantiation()
-            if slots is not None:
-                metrics.record_unification(True)
-                goals = compiled.materialize_body(slots)
-                count = len(goals)
-                if count == 0:
-                    yield
-                elif count == 1:
-                    yield from self.solve_goal(goals[0], body_depth, frame)
-                else:
-                    yield from self._solve_body(goals, body_depth, frame)
-            else:
-                metrics.record_unification(False)
-            trail.undo_to(mark)
-            if frame.cut:
-                return
-
     def _solve_user_interpreted(
         self, goal: Term, indicator: Indicator, depth: int
     ) -> Iterator[None]:
@@ -801,7 +639,7 @@ def _runtime_mode(args: Tuple[Term, ...]) -> str:
     """
     if not args:
         return "()"
-    pattern = tuple(isinstance(deref(arg), Var) for arg in args)
+    pattern = tuple([isinstance(deref(arg), Var) for arg in args])
     text = _MODE_CACHE.get(pattern)
     if text is None:
         text = "(" + ", ".join("-" if free else "+" for free in pattern) + ")"

@@ -3,7 +3,8 @@
 ``solve_tabled`` replaces ``Engine._solve_user`` for tabled predicates.
 The first call to a new variant becomes the *leader* of an
 :class:`~.store.Evaluation`; its producer pass runs the predicate's
-clauses with ``_solve_user`` and snapshots every solution into the
+clauses with ``_solve_user`` (the bytecode VM on a compiled engine) and
+snapshots every solution into the
 table (deduplicated by variant key, kept in first-derivation order).
 Nested tabled calls inside that pass either
 

@@ -87,7 +87,7 @@ class CollectingTracer:
         self.only_predicates = only_predicates
         self._ring: RingBuffer = RingBuffer(limit)
 
-    # -- the recorder's box hooks (driven by Engine._record_boxed) -------
+    # -- the recorder's box hooks (driven by the engine and the VM) ------
 
     #: No predicate is ever past a sampling phase: every call reaches
     #: :meth:`admit_cold`, which applies the predicate filter.

@@ -17,8 +17,8 @@ practical, and the calibrator literally runs user clauses. A
   an error),
 * a cooperative :class:`CancelToken`.
 
-One Budget object is threaded through ``Engine._solve_body`` /
-``_charge_call``, the tabling fixpoint loop, the goal-search expansion
+One Budget object is threaded through ``Engine._charge_call`` and the
+VM's per-transition step charge, the tabling fixpoint loop, the goal-search expansion
 loops, and the reorder pipeline's per-predicate boundaries. Checks are
 cooperative: code calls :meth:`charge_call` / :meth:`charge_step` on
 its hot path (the deadline is only consulted every ``check_interval``

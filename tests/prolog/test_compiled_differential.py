@@ -1,7 +1,7 @@
-"""Differential tests: compiled clause resolution vs. the reference path.
+"""Differential tests: the bytecode VM vs. the seed interpreter.
 
-The compiled engine (slot-based skeletons, lazy body materialization,
-flattened conjunctions — :mod:`repro.prolog.compile`) must be
+The default engine (compiled skeletons run on the bytecode VM —
+:mod:`repro.prolog.compile`, :mod:`repro.prolog.vm`) must be
 observably identical to the interpreted reference path preserved as
 ``Engine(compiled=False)``: same solutions, in the same order, and the
 same deterministic metrics counters. The paper's cost model consumes
@@ -10,8 +10,9 @@ corrupt every calibration downstream.
 
 Coverage: all bundled benchmark programs (the paper's §VII evaluation
 set) across their table queries, the tabling suite, and the control
-constructs whose interaction with the flattened goal-list loop is
-subtle — cut, if-then-else, negation-as-failure bodies.
+constructs the VM lowers to bytecode — cut, disjunction, if-then-else
+and negation as failure, the reorderer's mode-test dispatchers, and
+exceptions, solution limits and budget aborts inside their branches.
 
 The second half compares *evaluation strategies*: bottom-up semi-naive
 materialization (``Engine(eval_strategy="bottomup")``) must produce
@@ -22,12 +23,18 @@ reorders answers, so order and multiplicity legitimately differ), and
 engine — answers *and* every deterministic counter.
 """
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.errors import ReproError
 from repro.programs import REGISTRY, corporate, family_tree
-from repro.prolog import Engine
+from repro.prolog import Database, Engine
+from repro.prolog.vm import solve_vm
+from repro.reorder import Reorderer
+from repro.robustness import Budget
 
 #: The deterministic counters both paths must agree on.
 COMPARED_COUNTERS = (
@@ -42,58 +49,38 @@ COMPARED_COUNTERS = (
 )
 
 
-#: Counters the VM must match against the PR 3 compiled path *exactly*,
-#: beyond the interpreter-comparable set: both run the same skeletons
-#: and fingerprints, so even the compilation-specific charges must
-#: agree byte for byte (the interpreted path legitimately differs on
-#: these — it has no fast-reject and instantiates whole clauses).
-VM_EXACT_COUNTERS = COMPARED_COUNTERS + (
-    "skeleton_instantiations",
-    "head_fast_rejects",
-)
+def assert_equivalent(source, query, limit=None, budget_calls=None):
+    """Two-way oracle: the bytecode VM vs the seed interpreter.
 
-
-def assert_equivalent(source, query, limit=None):
-    """Three-way oracle: interpreted vs compiled vs bytecode VM.
-
-    The compiled engine must be observably identical to the seed
-    interpreter (answers, order, shared counters), and the VM engine
-    must be identical to the compiled one on the *full* counter set
-    including the compilation-specific charges.
+    The default (compiled) engine must be observably identical to the
+    interpreter: answers in the same order, the same shared counters
+    and per-predicate calls, and — for a query aborted by
+    ``Budget(calls=...)`` — the same error at the same charge.
     """
-    compiled = Engine.from_source(source)
+    machine = Engine.from_source(source)
     reference = Engine.from_source(source, compiled=False)
-    machine = Engine.from_source(source, vm=True)
-    assert compiled.compiled and not reference.compiled and machine.vm
+    assert machine.compiled and not reference.compiled
 
-    compiled_solutions = compiled.ask(query, limit=limit)
-    reference_solutions = reference.ask(query, limit=limit)
-    machine_solutions = machine.ask(query, limit=limit)
-    compiled_keys = [s.key() for s in compiled_solutions]
-    assert compiled_keys == [
-        s.key() for s in reference_solutions
-    ], f"solution drift on {query!r}"
-    assert compiled_keys == [
-        s.key() for s in machine_solutions
-    ], f"vm solution drift on {query!r}"
+    outcomes = []
+    for engine in (machine, reference):
+        budget = None if budget_calls is None else Budget(calls=budget_calls)
+        try:
+            solutions = engine.ask(query, limit=limit, budget=budget)
+        except ReproError as exc:
+            outcomes.append(type(exc).__name__)
+        else:
+            outcomes.append([s.key() for s in solutions])
+    assert outcomes[0] == outcomes[1], f"solution drift on {query!r}"
 
-    left, right = compiled.metrics, reference.metrics
+    left, right = machine.metrics, reference.metrics
     for counter in COMPARED_COUNTERS:
         assert getattr(left, counter) == getattr(right, counter), (
             f"{counter} drift on {query!r}: "
-            f"compiled={getattr(left, counter)} "
+            f"vm={getattr(left, counter)} "
             f"interpreted={getattr(right, counter)}"
         )
     assert left.calls_by_predicate == right.calls_by_predicate
-
-    vm_metrics = machine.metrics
-    for counter in VM_EXACT_COUNTERS:
-        assert getattr(vm_metrics, counter) == getattr(left, counter), (
-            f"{counter} drift on {query!r}: "
-            f"vm={getattr(vm_metrics, counter)} "
-            f"compiled={getattr(left, counter)}"
-        )
-    assert vm_metrics.calls_by_predicate == left.calls_by_predicate
+    return machine
 
 
 class TestBundledPrograms:
@@ -188,6 +175,129 @@ class TestControlConstructs:
         assert_equivalent(source, "call_it(p(X))")
 
 
+    def test_cut_in_disjunction_branch_prunes_the_clause(self):
+        source = """
+            q(1). q(2). q(3).
+            p(X) :- (q(X), X > 1, ! ; X = none).
+            p(last).
+        """
+        assert_equivalent(source, "p(X)")
+
+    def test_cut_in_condition_stays_local(self):
+        source = """
+            q(1). q(2). q(3).
+            t(X, Y) :- (q(X), !, X > 1 -> Y = yes ; Y = no).
+            t(other, other).
+        """
+        assert_equivalent(source, "t(X, Y)")
+
+    def test_cut_in_negation_stays_local(self):
+        source = """
+            q(1). q(2). q(3).
+            n(X) :- q(X), \\+ (q(Y), !, Y > X).
+            n(last).
+        """
+        assert_equivalent(source, "n(X)")
+
+    def test_if_then_without_else(self):
+        source = """
+            q(1). q(2). q(3).
+            it(X) :- (q(X), X > 1 -> true).
+            it(0).
+            none(X) :- (q(X), X > 5 -> true).
+        """
+        assert_equivalent(source, "it(X)")
+        assert_equivalent(source, "none(X)")
+
+    def test_nested_control_and_delegated_cut(self):
+        # A variable goal bound to a cut inside a condition is local to
+        # the condition; inside a disjunction it cuts the clause.
+        source = """
+            q(1). q(2). q(3).
+            vc(X, Y) :- G = !, (q(X), G, X > 1 -> Y = yes ; Y = no).
+            vd(X) :- G = !, (q(X), G ; X = none).
+            mix(X, Y) :- q(X), ((X =:= 2 ; X =:= 3) -> \\+ X = 3, Y = a ; Y = b).
+        """
+        for query in ("vc(X, Y)", "vd(X)", "mix(X, Y)"):
+            assert_equivalent(source, query)
+
+    def test_exception_raised_inside_a_branch(self):
+        source = """
+            q(1). q(2). q(3).
+            err(X) :- q(X), (X > 1 -> throw(boom(X)) ; true).
+            caught(X, E) :- catch(err(X), E, true).
+            neg_err(X) :- q(X), \\+ (X > 2, throw(late(X))).
+        """
+        for query in ("err(X)", "caught(X, E)", "neg_err(X)"):
+            assert_equivalent(source, query)
+
+    @pytest.mark.parametrize("query", ["d(X)", "ite(X, Y)", "neg(X)", "path(a, Y)"])
+    def test_aborts_mid_branch_leave_the_engine_reusable(self, query):
+        source = """
+            :- table path/2.
+            q(1). q(2). q(3).
+            d(X) :- (q(X), X > 1 ; X = none).
+            ite(X, Y) :- (q(X), X >= 2 -> Y = big ; q(Y)).
+            neg(X) :- q(X), \\+ X = 2.
+            edge(a, b). edge(b, c). edge(c, a).
+            path(X, Y) :- (edge(X, Y) ; path(X, Z), edge(Z, Y)).
+        """
+        machine = assert_equivalent(source, query, limit=1)
+        assert machine.trail.mark() == 0
+        assert_equivalent(source, query, budget_calls=3)
+        # Same engine again: trail unwound, tables intact, full answers
+        # and charges still equal to a fresh interpreter's.
+        for limit, budget_calls in ((1, None), (None, 3)):
+            engine = Engine.from_source(source)
+            budget = None if budget_calls is None else Budget(calls=budget_calls)
+            try:
+                engine.ask(query, limit=limit, budget=budget)
+            except ReproError:
+                pass
+            assert engine.trail.mark() == 0
+            assert engine._negation_depth == 0
+            reference = Engine.from_source(source, compiled=False)
+            assert [s.key() for s in engine.ask(query)] == [
+                s.key() for s in reference.ask(query)
+            ]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reordered_dispatchers_on_generated_long_bodies(self, seed):
+        # The reorderer's mode-test dispatchers (if-then-else chains of
+        # var/1 tests) over generated long bodies with negation and cut.
+        source = _long_body_program(random.Random(seed))
+        reordered = Reorderer(Database.from_source(source)).reorder().source()
+        assert "->" in reordered
+        for rule in range(3):
+            for query in (f"r{rule}(X, Y)", f"r{rule}(c1, Y)",
+                          f"r{rule}(X, c2)", f"r{rule}(c1, c2)"):
+                assert_equivalent(reordered, query)
+
+
+def _long_body_program(rng):
+    """Three rules with 4-6-goal bodies over four binary fact tables;
+    two of them end in a negation or a cut."""
+    lines = []
+    for table in range(4):
+        pairs = {(rng.randrange(6), rng.randrange(6)) for _ in range(12)}
+        lines.extend(f"t{table}(c{a}, c{b})." for a, b in sorted(pairs))
+    for rule in range(3):
+        variables = ["X"]
+        goals = []
+        length = rng.choice((4, 5, 6))
+        for index in range(length):
+            left = rng.choice(variables)
+            right = "Y" if index == length - 1 else f"V{index}"
+            variables.append(right)
+            goals.append(f"t{rng.randrange(4)}({left}, {right})")
+        if rule == 1:
+            goals.append(f"\\+ t{rng.randrange(4)}({variables[1]}, c0)")
+        elif rule == 2:
+            goals.append("!")
+        lines.append(f"r{rule}(X, Y) :- " + ", ".join(goals) + ".")
+    return "\n".join(lines) + "\n"
+
+
 class TestTabling:
     def test_left_recursive_closure(self):
         source = """
@@ -217,6 +327,21 @@ class TestTabling:
             reach(X, Y) :- reach(X, Z), hop(Z, Y).
         """
         assert_equivalent(source, "reach(1, N)")
+
+    def test_tabled_producer_with_control_runs_on_the_machine(self):
+        # The producer pass of a tabled closure whose clause is a
+        # disjunction with an if-then-else and a negation: the VM runs
+        # it (engine._solve_user is the machine), and answers and table
+        # counters match the interpreter's.
+        source = """
+            :- table reach/2.
+            arc(1, 2). arc(2, 3). arc(3, 1). arc(3, 4). blocked(4).
+            reach(X, Y) :- (arc(X, Y), \\+ blocked(Y) -> true
+                           ; reach(X, Z), arc(Z, Y)).
+        """
+        machine = assert_equivalent(source, "reach(1, N)")
+        assert machine._solve_user.func is solve_vm
+        assert machine.metrics.tables_completed > 0
 
 
 _CONSTANTS = ["a", "b", "c", "0", "1", "2", "f(a)", "f(b)", "g(a, b)"]

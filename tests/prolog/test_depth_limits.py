@@ -22,8 +22,11 @@ class TestTypedErrors:
         assert "depth 50 exceeded" in str(info.value)
 
     def test_recursion_error_becomes_typed(self):
+        # Only the interpreter recurses in Python (one generator frame
+        # per Prolog level); the VM's depth is data, see below.
         eng = Engine.from_source(
-            LOOP, max_depth=10_000_000, adjust_recursion_limit=False
+            LOOP, max_depth=10_000_000, adjust_recursion_limit=False,
+            compiled=False,
         )
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(700)
@@ -33,6 +36,19 @@ class TestTypedErrors:
         finally:
             sys.setrecursionlimit(limit)
         assert "recursion limit" in str(info.value)
+
+    def test_vm_runs_to_max_depth_under_a_low_recursion_limit(self):
+        eng = Engine.from_source(
+            LOOP, max_depth=5_000, adjust_recursion_limit=False
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(700)
+        try:
+            with pytest.raises(DepthLimitExceeded) as info:
+                eng.ask("loop")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert "depth 5000 exceeded" in str(info.value)
 
 
 class TestRecursionCapacity:

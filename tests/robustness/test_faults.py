@@ -198,15 +198,16 @@ def test_fault_matrix_no_unhandled_traceback(site, kind, family_file, capsys):
 
 @pytest.mark.parametrize("kind", ["raise", "hang", "exhaust"])
 def test_fault_matrix_vm_engine_call(kind, family_file, capsys):
-    """The engine.call row of the matrix, re-run on the bytecode VM.
+    """The engine.call row of the matrix, re-run with a full-rate
+    recorder attached (``--profile``).
 
-    The trampoline charges ``engine.call`` through the same
-    ``Engine._charge_call`` hook as the generator path, so an armed
-    fault must surface identically: one ``error:`` line, the mapped
-    exit code, never a traceback.
+    The bytecode VM charges ``engine.call`` before it opens a call's
+    box, and unwinds open boxes when the fault aborts the query, so an
+    armed fault must surface exactly as without the recorder: one
+    ``error:`` line, the mapped exit code, never a traceback.
     """
     argv, expected = _matrix_invocation("engine.call", kind, family_file)
-    argv = argv[:3] + ["--vm"] + argv[3:]
+    argv = argv[:3] + ["--profile"] + argv[3:]
     exit_code = main(argv)
     captured = capsys.readouterr()
     assert exit_code in expected, (

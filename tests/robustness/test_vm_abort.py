@@ -34,7 +34,7 @@ STORM_PROGRAM = SEARCH + """
 
 class TestAskLimitAbort:
     def test_limit_unwinds_stack_and_trail(self):
-        engine = Engine.from_source(SEARCH, vm=True)
+        engine = Engine.from_source(SEARCH)
         partial = engine.ask("pair(A, B)", limit=3)
         assert len(partial) == 3
         assert engine.trail.mark() == 0, "abandoned bindings left on trail"
@@ -42,7 +42,7 @@ class TestAskLimitAbort:
         assert len(engine.ask("pair(A, B)")) == 16
 
     def test_abandoned_solve_generator_closes_machine(self):
-        engine = Engine.from_source(SEARCH, vm=True)
+        engine = Engine.from_source(SEARCH)
         generator = engine.solve("pair(A, B)")
         next(generator)
         generator.close()
@@ -52,14 +52,14 @@ class TestAskLimitAbort:
 
 class TestBudgetAbort:
     def test_step_budget_mid_enumeration(self):
-        engine = Engine.from_source(SEARCH, vm=True)
+        engine = Engine.from_source(SEARCH)
         with pytest.raises(BudgetExceededError):
             engine.ask("pair(A, B)", budget=Budget(steps=20))
         assert engine.trail.mark() == 0
         assert len(engine.ask("pair(A, B)")) == 16
 
     def test_deadline_budget_mid_enumeration(self):
-        engine = Engine.from_source(STORM_PROGRAM, vm=True)
+        engine = Engine.from_source(STORM_PROGRAM)
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError):
             engine.ask("storm", budget=Budget(deadline=0.2))
@@ -73,7 +73,7 @@ class TestCliTimeoutOnVm:
         program.write_text(STORM_PROGRAM)
         start = time.perf_counter()
         exit_code = main(
-            ["run", str(program), "storm", "--vm", "--timeout", "0.3"]
+            ["run", str(program), "storm", "--timeout", "0.3"]
         )
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
@@ -89,8 +89,7 @@ class TestCliTimeoutOnVm:
     def test_run_vm_completes_within_generous_timeout(self, family_file,
                                                       capsys):
         exit_code = main(
-            ["run", family_file, "grandmother(X, Y)", "--vm",
-             "--timeout", "30"]
+            ["run", family_file, "grandmother(X, Y)", "--timeout", "30"]
         )
         assert exit_code == 0
         assert "solution(s)" in capsys.readouterr().out
