@@ -123,20 +123,25 @@ def join_inst(left: Inst, right: Inst) -> Inst:
 
 def item_to_inst(item: ModeItem) -> Inst:
     """The abstract state a mode item denotes."""
-    return {
-        ModeItem.PLUS: Inst.GROUND,
-        ModeItem.MINUS: Inst.FREE,
-        ModeItem.ANY: Inst.ANY,
-    }[item]
+    # Identity tests, not a dict: this runs per argument per search node.
+    if item is ModeItem.PLUS:
+        return Inst.GROUND
+    if item is ModeItem.MINUS:
+        return Inst.FREE
+    if item is ModeItem.ANY:
+        return Inst.ANY
+    raise KeyError(item)
 
 
 def inst_to_item(inst: Inst) -> ModeItem:
     """The mode item describing an abstract state."""
-    return {
-        Inst.GROUND: ModeItem.PLUS,
-        Inst.FREE: ModeItem.MINUS,
-        Inst.ANY: ModeItem.ANY,
-    }[inst]
+    if inst is Inst.GROUND:
+        return ModeItem.PLUS
+    if inst is Inst.FREE:
+        return ModeItem.MINUS
+    if inst is Inst.ANY:
+        return ModeItem.ANY
+    raise KeyError(inst)
 
 
 def item_accepts(required: ModeItem, actual: ModeItem) -> bool:

@@ -27,6 +27,7 @@ __all__ = [
     "order_by_success_ratio",
     "order_by_failure_ratio",
     "all_solutions_visits_closed_form",
+    "all_solutions_visit",
     "all_solutions_cost_closed_form",
     "single_solution_success_closed_form",
 ]
@@ -99,15 +100,25 @@ def all_solutions_visits_closed_form(
     ``v_i = Π_{j≤i} p_{j−1}/(1−p_j)`` with ``p_0 = 1``; the success
     state is entered once per success of the last goal, ``v_S = v_n p_n``.
     """
-    probs = [clamp_probability(p, high=1.0 - 1e-9) for p in probs]
     visits: List[float] = []
     previous_flow = 1.0  # v_{i-1} · p_{i-1}, with the virtual p_0 = 1
     for p in probs:
-        v = previous_flow / (1.0 - p)
+        v, previous_flow = all_solutions_visit(previous_flow, p)
         visits.append(v)
-        previous_flow = v * p
     success_visits = previous_flow if probs else 1.0
     return tuple(visits), success_visits
+
+
+def all_solutions_visit(previous_flow: float, p: float) -> Tuple[float, float]:
+    """One step of the Fig. 5 visit recursion: ``(v_i, v_i · p_i)``.
+
+    ``previous_flow`` is ``v_{i-1} · p_{i-1}`` (1 for the first goal).
+    The closed form and goal search's running prefix cost both step
+    through here, so they clamp and round identically.
+    """
+    p = clamp_probability(p, high=1.0 - 1e-9)
+    visits = previous_flow / (1.0 - p)
+    return visits, visits * p
 
 
 def all_solutions_cost_closed_form(

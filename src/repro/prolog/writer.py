@@ -52,11 +52,16 @@ def _quote_atom(name: str) -> str:
     return f"'{escaped}'"
 
 
+#: The table a writer reads when given none. Writers never add to it:
+#: ``op/3`` directives extend a database's own table instead.
+_DEFAULT_OPERATORS = standard_operators()
+
+
 class TermWriter:
     """Stateful writer: remembers variable display names per clause."""
 
     def __init__(self, operators: Optional[OperatorTable] = None):
-        self.operators = operators or standard_operators()
+        self.operators = _DEFAULT_OPERATORS if operators is None else operators
         self._var_names: Dict[int, str] = {}
         self._used_names: set = set()
 

@@ -2,7 +2,7 @@
 
 Two strategies over the permutations of a mobile block:
 
-* **exhaustive** — evaluate every constraint-respecting, mode-legal
+* **exhaustive** — rank every constraint-respecting, mode-legal
   permutation with the Markov chain and keep the cheapest ("It permutes
   other blocks exhaustively and computes their cost, saving the least
   expensive order");
@@ -23,6 +23,34 @@ generate another order, so that we test only legal orders").
 Costs: multi-solution blocks are ranked by the all-solutions total
 cost; single-solution blocks (goals committed by a cut) by the Fig. 4
 single-solution expected cost.
+
+The exhaustive search walks the permutations depth-first in
+lexicographic order, so consecutive permutations share their prefix
+and each prefix is evaluated once:
+
+* **Prefix sharing.** The walk keeps one (goal, stats, variable states)
+  entry per depth and steps only the suffix that changes. A goal's
+  stats and bindings depend only on its own variables' states, so each
+  (goal, states) pair reaches ``CostModel.goal_stats`` once, at its
+  first position in permutation order; the model's memo and warnings
+  therefore fill exactly as a full enumeration would fill them. A
+  mode-illegal prefix rules out every permutation that starts with it;
+  those are counted, not walked.
+* **Bound.** Multi-solution blocks carry the prefix's all-solutions
+  total through the same visit recursion as the closed form. By the
+  admissibility argument above it never exceeds the cost of any
+  completion, so once it is above the best complete cost (by a relative
+  margin of 1e-9) the subtree cannot hold a winner and is skipped. A
+  skipped subtree is still walked without costs, once per distinct
+  (remaining goals, their variable states), to keep the illegal count
+  and the model's memo exact. Single-solution blocks get no bound: a
+  prefix's Fig. 4 cost is not a lower bound on its completions'.
+* **Exact ranking.** Complete orders are ranked by the same float a
+  full evaluation gives (``sequence_cost``, or the single-solution cost
+  of ``evaluate_sequence``), never by the running total: ``sum()`` over
+  floats is compensated from Python 3.12 on, and a last-bit difference
+  could flip an exact tie. Ties go to the first order found; the full
+  evaluation runs once, for the winner.
 """
 
 from __future__ import annotations
@@ -32,11 +60,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..markov.clause_model import SequenceEvaluation, evaluate_sequence
+from ..markov.clause_model import SequenceEvaluation, evaluate_sequence, sequence_cost
+from ..markov.formulas import all_solutions_visit
 from ..markov.goal_stats import GoalStats
 from ..markov.predicate_model import CostModel
 from ..analysis.modes import VarState
-from ..prolog.terms import Term
+from ..prolog.terms import Term, term_variables
 from ..robustness.budget import Budget
 
 __all__ = [
@@ -54,6 +83,11 @@ DEFAULT_EXHAUSTIVE_LIMIT = 6
 
 Constraint = Tuple[int, int]
 
+#: Relative slack of the exhaustive bound: the running prefix total is
+#: summed left to right, the ranked leaf cost by ``sum()`` (compensated
+#: on Python 3.12+), so they may differ in the last bits.
+_BOUND_MARGIN = 1e-9
+
 
 @dataclass
 class SearchCounters:
@@ -69,10 +103,12 @@ class SearchCounters:
     #: Blocks solved by each strategy.
     exhaustive_blocks: int = 0
     astar_blocks: int = 0
-    #: Exhaustive: constraint-respecting permutations fully evaluated,
-    #: and how many of those the legality filter rejected.
+    #: Exhaustive: constraint-respecting permutations, how many of
+    #: those the legality filter rejected, and how many legal ones the
+    #: cost bound skipped unranked.
     exhaustive_permutations: int = 0
     exhaustive_illegal: int = 0
+    exhaustive_pruned: int = 0
     #: A*: child nodes generated, children pruned as mode-illegal,
     #: and the largest open-list size seen.
     astar_expanded: int = 0
@@ -94,6 +130,7 @@ class SearchCounters:
             "astar_blocks": self.astar_blocks,
             "exhaustive_permutations": self.exhaustive_permutations,
             "exhaustive_illegal": self.exhaustive_illegal,
+            "exhaustive_pruned": self.exhaustive_pruned,
             "astar_expanded": self.astar_expanded,
             "astar_pruned": self.astar_pruned,
             "astar_heap_peak": self.astar_heap_peak,
@@ -124,13 +161,183 @@ class OrderResult:
     strategy: str
 
 
-def _respects(order: Sequence[int], constraints: Set[Constraint]) -> bool:
-    position = {goal_index: rank for rank, goal_index in enumerate(order)}
-    return all(position[a] < position[b] for a, b in constraints)
+def _rank_cost(stats: List[GoalStats], multi_solution: bool) -> float:
+    """The float an order is ranked by (see the module docstring)."""
+    if multi_solution:
+        return sequence_cost(stats)
+    return evaluate_sequence(stats).single_cost
 
 
-def _order_cost(evaluation: SequenceEvaluation, multi_solution: bool) -> float:
-    return evaluation.total_cost if multi_solution else evaluation.single_cost
+class _PrefixWalk:
+    """One block's depth-first walk over its permutation prefixes.
+
+    Goal sets are bitmasks over goal indices; ``rem`` is the set still
+    to place. The walk's variable state is a list with one slot per
+    variable of the block (``None`` where the caller's ``VarState`` has
+    no entry), since a goal's stats and bindings depend only on its own
+    variables.
+    """
+
+    def __init__(self, goals, states, model, constraints, multi_solution, budget):
+        self.goals = goals
+        self.states = states
+        self.model = model
+        self.multi_solution = multi_solution
+        self.budget = budget
+        n = len(goals)
+        self.blockers = [0] * n
+        for before, after in constraints:
+            self.blockers[after] |= 1 << before
+        slot_of: Dict[int, int] = {}
+        self.goal_slots: List[Tuple[int, ...]] = []
+        for goal in goals:
+            self.goal_slots.append(tuple(
+                slot_of.setdefault(id(var), len(slot_of))
+                for var in term_variables(goal)
+            ))
+        self.var_ids = list(slot_of)
+        self.initial = [states.get(var_id) for var_id in self.var_ids]
+        self.order = [0] * n
+        self.stats: List[Optional[GoalStats]] = [None] * n
+        self.best_cost: Optional[float] = None
+        self.best_order: Optional[Tuple[int, ...]] = None
+        self.best_stats: List[GoalStats] = []
+        self.pruned = 0
+        # (goal, its slot values) -> None if illegal, else (stats, new values)
+        self._steps: Dict[tuple, Optional[Tuple[GoalStats, tuple]]] = {}
+        self._candidates: Dict[int, List[int]] = {}
+        self._extensions: Dict[int, int] = {0: 1}
+        self._signature_slots: Dict[int, Tuple[int, ...]] = {}
+        # (rem, slot values of rem's goals) -> illegal permutations below
+        self._illegal_below: Dict[tuple, int] = {}
+
+    def candidates(self, rem: int) -> List[int]:
+        """Goals of ``rem`` whose must-precede goals are all placed, ascending."""
+        found = self._candidates.get(rem)
+        if found is None:
+            found = [
+                i for i in range(len(self.goals))
+                if rem >> i & 1 and not self.blockers[i] & rem
+            ]
+            self._candidates[rem] = found
+        return found
+
+    def extensions(self, rem: int) -> int:
+        """Constraint-respecting orders of the goals in ``rem``."""
+        count = self._extensions.get(rem)
+        if count is None:
+            count = sum(
+                self.extensions(rem & ~(1 << i)) for i in self.candidates(rem)
+            )
+            self._extensions[rem] = count
+        return count
+
+    def step(self, index: int, values: List) -> Optional[Tuple[GoalStats, List]]:
+        """Stats of goal ``index`` after ``values``, and the values after it.
+
+        Each (goal, variable states) pair calls ``CostModel.goal_stats``
+        once, at its first position in permutation order, so the model's
+        memo fills in the order the full enumeration would fill it.
+        """
+        slots = self.goal_slots[index]
+        key = (index, tuple([values[slot] for slot in slots]))
+        entry = self._steps.get(key, key)
+        if entry is key:
+            scratch = dict(self.states)
+            for var_id, value in zip(self.var_ids, values):
+                if value is None:
+                    scratch.pop(var_id, None)
+                else:
+                    scratch[var_id] = value
+            stats = self.model.goal_stats(self.goals[index], scratch)
+            entry = None if stats is None else (
+                stats,
+                tuple(scratch.get(self.var_ids[slot]) for slot in slots),
+            )
+            self._steps[key] = entry
+        if entry is None:
+            return None
+        child = list(values)
+        for slot, value in zip(slots, entry[1]):
+            child[slot] = value
+        return entry[0], child
+
+    def signature(self, rem: int, values: List) -> tuple:
+        """Everything the subtree below a prefix depends on."""
+        slots = self._signature_slots.get(rem)
+        if slots is None:
+            slots = tuple(sorted({
+                slot for i in range(len(self.goals)) if rem >> i & 1
+                for slot in self.goal_slots[i]
+            }))
+            self._signature_slots[rem] = slots
+        return (rem, tuple([values[slot] for slot in slots]))
+
+    def rank(self, rem: int, values: List, depth: int, flow: float, total: float) -> int:
+        """Rank every order below the prefix ``order[:depth]``.
+
+        ``flow`` and ``total`` carry the all-solutions visit recursion
+        and the prefix's cost. Returns the mode-illegal permutations
+        below the prefix.
+        """
+        if not rem:
+            cost = _rank_cost(self.stats, self.multi_solution)
+            if self.best_cost is None or cost < self.best_cost:
+                self.best_cost = cost
+                self.best_order = tuple(self.order)
+                self.best_stats = list(self.stats)
+            return 0
+        if self.budget is not None:
+            self.budget.check("goal_search.exhaustive")
+        illegal = 0
+        for index in self.candidates(rem):
+            rest = rem & ~(1 << index)
+            step = self.step(index, values)
+            if step is None:
+                illegal += self.extensions(rest)
+                continue
+            stats, child = step
+            self.order[depth] = index
+            self.stats[depth] = stats
+            child_flow = child_total = 0.0
+            if self.multi_solution:
+                visits, child_flow = all_solutions_visit(flow, stats.chain_probability)
+                child_total = total + stats.chain_cost * visits
+                if (
+                    self.best_cost is not None
+                    and child_total > self.best_cost * (1.0 + _BOUND_MARGIN)
+                ):
+                    below = self.illegal_below(rest, child)
+                    illegal += below
+                    self.pruned += self.extensions(rest) - below
+                    continue
+            illegal += self.rank(rest, child, depth + 1, child_flow, child_total)
+        self._illegal_below[self.signature(rem, values)] = illegal
+        return illegal
+
+    def illegal_below(self, rem: int, values: List) -> int:
+        """Mode-illegal permutations below a prefix the bound cut.
+
+        The subtree is walked without costs, once per signature, so the
+        illegal count stays exact and every first (goal, states) pair
+        in it still reaches the model.
+        """
+        if not rem:
+            return 0
+        signature = self.signature(rem, values)
+        known = self._illegal_below.get(signature)
+        if known is not None:
+            return known
+        illegal = 0
+        for index in self.candidates(rem):
+            rest = rem & ~(1 << index)
+            step = self.step(index, values)
+            if step is None:
+                illegal += self.extensions(rest)
+            else:
+                illegal += self.illegal_below(rest, step[1])
+        self._illegal_below[signature] = illegal
+        return illegal
 
 
 def exhaustive_search(
@@ -142,37 +349,29 @@ def exhaustive_search(
     counters: Optional[SearchCounters] = None,
     budget: Optional[Budget] = None,
 ) -> Optional[OrderResult]:
-    """Evaluate every legal permutation; None if none is legal."""
-    best: Optional[OrderResult] = None
-    explored = 0
-    for permutation in itertools.permutations(range(len(goals))):
-        if not _respects(permutation, constraints):
-            continue
-        explored += 1
-        if budget is not None:
-            budget.check("goal_search.exhaustive")
-        if counters is not None:
-            counters.exhaustive_permutations += 1
-        scratch = dict(states)
-        evaluation = model.evaluate_goals(
-            [goals[i] for i in permutation], scratch
-        )
-        if evaluation is None:
-            if counters is not None:
-                counters.exhaustive_illegal += 1
-            continue
-        cost = _order_cost(evaluation, multi_solution)
-        if best is None or cost < _order_cost(best.evaluation, multi_solution):
-            best = OrderResult(
-                order=permutation,
-                evaluation=evaluation,
-                states=scratch,
-                explored=explored,
-                strategy="exhaustive",
-            )
-    if best is not None:
-        best.explored = explored
-    return best
+    """Rank every legal permutation, sharing prefixes; None if none is legal."""
+    walk = _PrefixWalk(goals, states, model, constraints, multi_solution, budget)
+    full = (1 << len(goals)) - 1
+    illegal = walk.rank(full, walk.initial, 0, 1.0, 0.0)
+    explored = walk.extensions(full)
+    if counters is not None:
+        counters.exhaustive_permutations += explored
+        counters.exhaustive_illegal += illegal
+        counters.exhaustive_pruned += walk.pruned
+    if walk.best_order is None:
+        return None
+    # Replay the winner on a real VarState: the caller gets exactly the
+    # dict the from-scratch evaluation would have built.
+    final = dict(states)
+    for index in walk.best_order:
+        model.goal_stats(goals[index], final)
+    return OrderResult(
+        order=walk.best_order,
+        evaluation=evaluate_sequence(walk.best_stats),
+        states=final,
+        explored=explored,
+        strategy="exhaustive",
+    )
 
 
 def _greedy_complete(
@@ -211,8 +410,7 @@ def _greedy_complete(
             if stats is None:
                 continue
             explored += 1
-            trial = evaluate_sequence(chosen_stats + [stats])
-            cost = _order_cost(trial, multi_solution)
+            cost = _rank_cost(chosen_stats + [stats], multi_solution)
             if best_step is None or cost < best_step[0]:
                 best_step = (cost, candidate, stats, scratch)
         if best_step is None:
@@ -301,8 +499,7 @@ def astar_search(
                     counters.astar_pruned += 1
                 continue  # illegal in this position: prune
             child_stats = stats_list + [stats]
-            child_eval = evaluate_sequence(child_stats)
-            child_cost = _order_cost(child_eval, multi_solution)
+            child_cost = _rank_cost(child_stats, multi_solution)
             if counters is not None:
                 counters.astar_expanded += 1
                 if child_cost < cost - 1e-9:

@@ -117,3 +117,14 @@ class TestWriterWithCustomOps:
         rebuilt.operators = database.operators
         rebuilt.consult(text)
         assert len(rebuilt.clauses(("likes", 2))) == 2
+
+    def test_op_directive_does_not_leak_into_default_table(self):
+        from repro.prolog.writer import TermWriter, clause_to_string
+
+        database = Database.from_source(":- op(700, xfx, likes). a likes b.")
+        assert database.operators.infix("likes") is not None
+        # Every default writer reads the one shared table ...
+        assert TermWriter().operators is TermWriter().operators
+        # ... and the consulted directive did not reach it.
+        assert TermWriter().operators.infix("likes") is None
+        assert clause_to_string(database.to_terms()[0]) == "likes(a, b)."

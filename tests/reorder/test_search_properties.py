@@ -7,8 +7,15 @@ surface. Invariants:
 * A* returns an order with the same model cost as exhaustive search
   (optimality of the admissible-prefix best-first search);
 * both respect arbitrary (acyclic) precedence constraints;
-* the chosen order's model cost is never above the source order's.
+* the chosen order's model cost is never above the source order's;
+* the prefix-sharing, cost-bounded exhaustive search agrees bit for bit
+  with a from-scratch evaluation of every permutation (the oracle below),
+  down to the cost model's memo and warnings.
 """
+
+import dataclasses
+import itertools
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -19,7 +26,14 @@ from repro.analysis.modes import bind_head_states, parse_mode_string
 from repro.markov.predicate_model import CostModel
 from repro.prolog import Database, parse_term
 from repro.prolog.database import body_goals, split_clause
-from repro.reorder.goal_search import astar_search, exhaustive_search
+from repro.reorder import Reorderer, goal_search
+from repro.reorder.goal_search import (
+    OrderResult,
+    SearchCounters,
+    astar_search,
+    exhaustive_search,
+)
+from tests.prolog.test_compiled_differential import _long_body_program
 
 
 @st.composite
@@ -103,3 +117,177 @@ class TestAStarOptimality:
         first = astar_search(goals, dict(states), model, set(constraints))
         second = astar_search(goals, dict(states), model, set(constraints))
         assert first.order == second.order
+
+
+# -- differential oracle ------------------------------------------------------
+
+
+def _oracle_exhaustive_search(
+    goals, states, model, constraints, multi_solution=True, counters=None,
+    budget=None,
+):
+    """The from-scratch search: evaluate every constraint-respecting
+    permutation in full and keep the first cheapest."""
+    def cost(evaluation):
+        return evaluation.total_cost if multi_solution else evaluation.single_cost
+
+    best = None
+    explored = 0
+    for permutation in itertools.permutations(range(len(goals))):
+        position = {goal: rank for rank, goal in enumerate(permutation)}
+        if not all(position[a] < position[b] for a, b in constraints):
+            continue
+        explored += 1
+        if counters is not None:
+            counters.exhaustive_permutations += 1
+        scratch = dict(states)
+        evaluation = model.evaluate_goals([goals[i] for i in permutation], scratch)
+        if evaluation is None:
+            if counters is not None:
+                counters.exhaustive_illegal += 1
+            continue
+        if best is None or cost(evaluation) < cost(best.evaluation):
+            best = OrderResult(
+                order=permutation, evaluation=evaluation, states=scratch,
+                explored=explored, strategy="exhaustive",
+            )
+    if best is not None:
+        best.explored = explored
+    return best
+
+
+@st.composite
+def search_programs(draw):
+    """(source, head mode, multi_solution, constraints): goals over three
+    shared variables; some demand a bound first argument, so some
+    prefixes are mode-illegal, and some are recursive predicates with
+    no cost declaration, which make the model warn."""
+    goal_count = draw(st.integers(min_value=2, max_value=5))
+    variables = ("X", "Y", "Z")
+    lines, goals = [], []
+    for index in range(goal_count):
+        first = draw(st.sampled_from(variables))
+        second = draw(st.sampled_from(variables))
+        kind = draw(st.sampled_from(("gen", "gen", "guarded", "test", "recursive")))
+        if kind == "test":
+            goals.append(f"{first} > 0")
+            continue
+        if kind == "recursive":
+            # No cost declaration: the model warns and falls back.
+            lines.append(f":- legal_mode(p{index}(+, -)).")
+            lines.append(f"p{index}(A, B) :- e(A, B).")
+            lines.append(f"p{index}(A, B) :- e(A, C), p{index}(C, B).")
+            goals.append(f"p{index}({first}, {second})")
+            continue
+        cost = draw(st.floats(min_value=0.5, max_value=40.0))
+        solutions = draw(st.floats(min_value=0.05, max_value=12.0))
+        lines.append(f"g{index}(1, 2).")
+        lines.append(
+            f":- cost(g{index}/2, [?, ?], {cost:.3f}, "
+            f"{min(1.0, solutions):.3f}, {solutions:.3f})."
+        )
+        if kind == "guarded":
+            lines.append(f":- legal_mode(g{index}(+, ?)).")
+        goals.append(f"g{index}({first}, {second})")
+    lines.extend(["e(1, 2).", "e(2, 3).", "e(3, 1).",
+                  "target(X, Y, Z) :- " + ", ".join(goals) + "."])
+    head_mode = "".join(draw(st.sampled_from("+-")) for _ in variables)
+    constraints = {
+        (i, j)
+        for i in range(goal_count)
+        for j in range(i + 1, goal_count)
+        if draw(st.integers(min_value=0, max_value=4)) == 0
+    }
+    multi_solution = draw(st.booleans())
+    return "\n".join(lines), head_mode, multi_solution, frozenset(constraints)
+
+
+def _run_search(search, database, head_mode, multi_solution, constraints):
+    model = CostModel(database, Declarations.from_database(database))
+    clause = database.clauses(("target", 3))[0]
+    goals = body_goals(clause.body)
+    states = {}
+    bind_head_states(clause.head, parse_mode_string(head_mode), states)
+    counters = SearchCounters()
+    result = search(
+        goals, states, model, set(constraints), multi_solution, counters
+    )
+    return result, counters, model
+
+
+def _float_bits(evaluation):
+    return [float(value).hex() for value in dataclasses.astuple(evaluation)]
+
+
+def _assert_same_search(expected, actual):
+    (want, want_counters, want_model), (got, got_counters, got_model) = expected, actual
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.order == want.order
+        assert got.explored == want.explored
+        assert got.strategy == want.strategy
+        assert _float_bits(got.evaluation) == _float_bits(want.evaluation)
+        assert list(got.states.items()) == list(want.states.items())
+    got_dict = got_counters.to_dict()
+    assert want_counters.exhaustive_pruned == 0
+    got_dict["exhaustive_pruned"] = 0
+    assert got_dict == want_counters.to_dict()
+    assert list(got_model._memo.items()) == list(want_model._memo.items())
+    assert got_model.warnings == want_model.warnings
+    assert list(got_model.modes._memo.items()) == list(want_model.modes._memo.items())
+    assert got_model.modes.warnings == want_model.modes.warnings
+
+
+class TestPrefixSharedSearchMatchesOracle:
+    @given(search_programs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_from_scratch_oracle(self, program):
+        source, head_mode, multi_solution, constraints = program
+        database = Database.from_source(source)
+        _assert_same_search(
+            _run_search(_oracle_exhaustive_search, database, head_mode,
+                        multi_solution, constraints),
+            _run_search(exhaustive_search, database, head_mode,
+                        multi_solution, constraints),
+        )
+
+    # Cheapest first, then ever dearer generators: once the identity
+    # order is ranked, most other prefixes already cost more than it.
+    BOUNDED = "\n".join(
+        [f"g{i}(1). :- cost(g{i}/1, [?], {0.5 + 9 * i}, 0.5, 0.5)." for i in range(4)]
+        + ["target(X, Y, Z) :- g0(X), g1(X), g2(X), g3(Y)."]
+    )
+
+    def _bounded(self, multi_solution):
+        database = Database.from_source(self.BOUNDED)
+        return [
+            _run_search(search, database, "---", multi_solution, ())
+            for search in (_oracle_exhaustive_search, exhaustive_search)
+        ]
+
+    def test_bound_fires_on_multi_solution_block(self):
+        expected, actual = self._bounded(True)
+        _assert_same_search(expected, actual)
+        counters = actual[1]
+        assert counters.exhaustive_permutations == 24
+        assert 0 < counters.exhaustive_pruned < 24
+        assert counters.to_record()["exhaustive_pruned"] == counters.exhaustive_pruned
+
+    def test_no_bound_on_single_solution_block(self):
+        expected, actual = self._bounded(False)
+        _assert_same_search(expected, actual)
+        assert actual[1].exhaustive_permutations == 24
+        assert actual[1].exhaustive_pruned == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reorderer_output_matches_oracle_search(seed, monkeypatch):
+    source = _long_body_program(random.Random(seed))
+
+    def reorder():
+        program = Reorderer(Database.from_source(source)).reorder()
+        return program.source(), program.report.to_dict()
+
+    actual = reorder()
+    monkeypatch.setattr(goal_search, "exhaustive_search", _oracle_exhaustive_search)
+    assert reorder() == actual
