@@ -38,6 +38,7 @@ from ..prolog.terms import (
     Var,
     deref,
     functor_indicator,
+    term_is_ground,
     term_variables,
 )
 from .builtin_modes import builtin_profile
@@ -206,15 +207,6 @@ class ModeInference:
             if self.is_legal(indicator, mode)
         ]
 
-    def legal_pairs(self, indicator: Indicator) -> List[ModePair]:
-        """Legal (input, output) pairs over the {+, -} input modes."""
-        pairs = []
-        for mode in all_input_modes(indicator[1]):
-            output = self.output_mode(indicator, mode)
-            if output is not None:
-                pairs.append(ModePair(mode, output))
-        return pairs
-
     # -- declarations ---------------------------------------------------------
 
     def _declared_output(self, indicator: Indicator, input_mode: Mode):
@@ -302,6 +294,9 @@ class ModeInference:
 
     def _clause_output(self, clause: Clause, input_mode: Mode) -> Optional[Mode]:
         head = deref(clause.head)
+        if clause.is_fact and term_is_ground(head):
+            # A ground fact runs in every mode and leaves every argument ground.
+            return (ModeItem.PLUS,) * len(input_mode)
         states: VarState = {}
         bind_head_states(head, input_mode, states)
         if not self._exec(clause.body, states):

@@ -1,7 +1,7 @@
 """Experiment harness: regenerates every table and figure of the paper."""
 
 from .figures import Figure1Result, Figure2Result, figure1, figure2, figures_4_5
-from .harness import Row, Table, compare_modes, count_calls, label_to_mode, mode_queries
+from .harness import Row, Table, count_calls, label_to_mode, mode_queries
 from .tables import (
     compare_labelled_queries,
     reorder_program,
@@ -17,7 +17,6 @@ __all__ = [
     "Row",
     "Table",
     "compare_labelled_queries",
-    "compare_modes",
     "count_calls",
     "figure1",
     "figure2",

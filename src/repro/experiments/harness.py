@@ -25,7 +25,6 @@ __all__ = [
     "Table",
     "mode_queries",
     "count_calls",
-    "compare_modes",
     "label_to_mode",
 ]
 
@@ -132,37 +131,6 @@ def count_calls(make_engine: Callable[[], Engine], queries: Sequence[str]) -> in
         _, metrics = engine.run(query)
         total += metrics.calls
     return total
-
-
-def compare_modes(
-    original: Database,
-    reordered: ReorderedProgram,
-    indicator: Indicator,
-    modes: Sequence[str],
-    constants: Sequence[str],
-) -> List[Row]:
-    """Original vs reordered call counts for each mode of one predicate."""
-    rows = []
-    name, _arity = indicator
-    for mode_text in modes:
-        mode = parse_mode_string(mode_text)
-        original_queries = mode_queries(name, mode, constants)
-        version = reordered.version_name(indicator, mode) or name
-        reordered_queries = mode_queries(version, mode, constants)
-        rows.append(
-            Row(
-                label=f"{name}{_mode_label(mode)}",
-                original=count_calls(lambda: Engine(original), original_queries),
-                reordered=count_calls(
-                    lambda: reordered.engine(), reordered_queries
-                ),
-            )
-        )
-    return rows
-
-
-def _mode_label(mode: Mode) -> str:
-    return "(" + ",".join(str(item) for item in mode) + ")"
 
 
 def best_order_by_enumeration(

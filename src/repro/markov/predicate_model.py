@@ -109,6 +109,7 @@ class CostModel:
         self.table_all = table_all
         self._memo: Dict[Tuple[Indicator, Mode], Optional[GoalStats]] = {}
         self._in_progress: Set[Tuple[Indicator, Mode]] = set()
+        self._fact_evaluation: Optional[SequenceEvaluation] = None
         self.warnings: List[str] = []
 
     def is_tabled(self, indicator: Indicator) -> bool:
@@ -254,7 +255,15 @@ class CostModel:
     def clause_body_evaluation(
         self, clause: Clause, input_mode: Mode
     ) -> Optional[SequenceEvaluation]:
-        """Chain evaluation of a clause body under an input mode."""
+        """Chain evaluation of a clause body under an input mode.
+
+        A fact's body ``true`` has constant stats whatever the head
+        binds, so every fact shares one evaluation in every mode.
+        """
+        if clause.is_fact:
+            if self._fact_evaluation is None:
+                self._fact_evaluation = self.evaluate_goals([clause.body], {})
+            return self._fact_evaluation
         states: VarState = {}
         bind_head_states(clause.head, input_mode, states)
         goals = body_goals(clause.body)

@@ -509,18 +509,26 @@ class VersionBuildPhase(Phase):
         original_estimate = state.model.predicate_stats(indicator, mode)
         rankings: List[ClauseRanking] = []
         evaluations: List[Tuple[float, Optional[SequenceEvaluation]]] = []
+        # Every fact's body is ``true``: its reordering, evaluation and
+        # renaming do not depend on the head, so the first fact's result
+        # serves the whole table.
+        fact_body: Optional[Tuple[Term, Optional[SequenceEvaluation]]] = None
         for clause in clauses:
-            new_goals, evaluation = reorder_clause_goals(
-                state, self.goal_sequence, self.inner_control,
-                indicator, clause, mode,
-            )
-            if rename:
-                with state.spans.span("specialize"):
-                    renamed_goals = self._rename_goals(state, clause, new_goals, mode)
+            if clause.is_fact and fact_body is not None:
+                body, evaluation = fact_body
             else:
-                renamed_goals = new_goals
+                new_goals, evaluation = reorder_clause_goals(
+                    state, self.goal_sequence, self.inner_control,
+                    indicator, clause, mode,
+                )
+                if rename:
+                    with state.spans.span("specialize"):
+                        new_goals = self._rename_goals(state, clause, new_goals, mode)
+                body = goals_to_body(new_goals)
+                if clause.is_fact:
+                    fact_body = (body, evaluation)
             head = rename_goal(clause.head, name) if rename else clause.head
-            new_clause = Clause(head, goals_to_body(renamed_goals))
+            new_clause = Clause(head, body)
             match = head_match_probability(clause, mode, state.domains)
             evaluations.append((match, evaluation))
             if evaluation is None:
@@ -536,10 +544,11 @@ class VersionBuildPhase(Phase):
             with state.spans.span("clause order"):
                 ordered = order_clauses(rankings, state.fixity)
             if [r.clause for r in ordered] != [r.clause for r in rankings]:
+                position = {id(r): i for i, r in enumerate(rankings, start=1)}
                 state.report.note(
                     indicator, mode,
                     "clauses reordered to "
-                    + str([rankings.index(r) + 1 for r in ordered]),
+                    + str([position[id(r)] for r in ordered]),
                 )
             rankings = ordered
 

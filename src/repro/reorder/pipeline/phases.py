@@ -161,11 +161,23 @@ class VersionDedupPhase(Phase):
         by_shape: Dict[str, ModeVersion] = {}
         rename_map: Dict[str, str] = {}
         kept: List[ModeVersion] = []
+        # Versions share head arguments and often bodies (every fact's
+        # ``true``), so each distinct pair is printed once. The versions
+        # keep the terms alive, so their ids stay unique meanwhile.
+        lines: Dict[Tuple[int, int], str] = {}
+
+        def line(clause: Clause) -> str:
+            head = deref(clause.head)
+            key = (id(getattr(head, "args", head)), id(clause.body))
+            text = lines.get(key)
+            if text is None:
+                text = lines[key] = clause_to_string(
+                    Clause(_strip_name(head), clause.body).to_term()
+                )
+            return text
+
         for version in versions:
-            shape = "\n".join(
-                clause_to_string(Clause(_strip_name(c.head), c.body).to_term())
-                for c in version.clauses
-            )
+            shape = "\n".join(line(c) for c in version.clauses)
             canonical = by_shape.get(shape)
             if canonical is None:
                 by_shape[shape] = version
