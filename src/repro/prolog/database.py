@@ -72,10 +72,13 @@ class Clause:
     body: Term
     #: Position within its predicate, in source order.
     index: int = 0
+    #: ``(name, arity)`` of the head, computed once: consult and the
+    #: analyses read it many times per clause, and no code reassigns
+    #: :attr:`head`.
+    indicator: Indicator = field(init=False, repr=False, compare=False)
 
-    @property
-    def indicator(self) -> Indicator:
-        return functor_indicator(self.head)
+    def __post_init__(self) -> None:
+        self.indicator = functor_indicator(self.head)
 
     @property
     def is_fact(self) -> bool:
@@ -333,15 +336,18 @@ class Database:
 
     def add_clause(self, clause: Clause) -> None:
         """Append a clause to its predicate (source order preserved)."""
-        clauses = self._predicates.setdefault(clause.indicator, [])
+        indicator = clause.indicator
+        clauses = self._predicates.setdefault(indicator, [])
+        if clauses:  # one indicator tuple per predicate, not per clause
+            clause.indicator = indicator = clauses[0].indicator
         clause.index = len(clauses)
         clauses.append(clause)
         self.generation += 1
-        self._predicate_marks[clause.indicator] = self.generation
-        self._index.pop(clause.indicator, None)  # invalidate
-        self._index_position.pop(clause.indicator, None)
-        self._multi_index.pop(clause.indicator, None)
-        self._scan_plans.pop(clause.indicator, None)
+        self._predicate_marks[indicator] = self.generation
+        self._index.pop(indicator, None)  # invalidate
+        self._index_position.pop(indicator, None)
+        self._multi_index.pop(indicator, None)
+        self._scan_plans.pop(indicator, None)
 
     def replace_predicate(self, indicator: Indicator, clauses: List[Clause]) -> None:
         """Replace all clauses of a predicate (used by the reorderer)."""

@@ -1,12 +1,11 @@
 """Prolog reader: lexer, operator table, and parser."""
 
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .operators import OpDef, OperatorTable, standard_operators
 from .parser import Parser, parse_program, parse_term, parse_terms
 from .tokens import Token, TokenType
 
 __all__ = [
-    "Lexer",
     "OpDef",
     "OperatorTable",
     "Parser",

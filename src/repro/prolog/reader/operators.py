@@ -8,7 +8,7 @@ operator's (``y``) or must be strictly lower (``x``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 __all__ = ["OpDef", "OperatorTable", "standard_operators", "MAX_PRIORITY"]
@@ -19,32 +19,32 @@ MAX_PRIORITY = 1200
 
 @dataclass(frozen=True)
 class OpDef:
-    """One operator definition: priority and type (xfx, xfy, yfx, fy, fx, xf, yf)."""
+    """One operator definition: priority and type (xfx, xfy, yfx, fy, fx, xf, yf).
+
+    The parser reads the derived fields for every operator token, so
+    they are computed once, here, rather than as properties.
+    """
 
     priority: int
     type: str
+    is_prefix: bool = field(init=False, repr=False, compare=False)
+    is_infix: bool = field(init=False, repr=False, compare=False)
+    is_postfix: bool = field(init=False, repr=False, compare=False)
+    #: Maximum priority allowed for the left argument (infix/postfix).
+    left_max: int = field(init=False, repr=False, compare=False)
+    #: Maximum priority allowed for the right argument (infix/prefix).
+    right_max: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_prefix(self) -> bool:
-        return self.type in ("fy", "fx")
-
-    @property
-    def is_infix(self) -> bool:
-        return self.type in ("xfx", "xfy", "yfx")
-
-    @property
-    def is_postfix(self) -> bool:
-        return self.type in ("xf", "yf")
-
-    @property
-    def left_max(self) -> int:
-        """Maximum priority allowed for the left argument (infix/postfix)."""
-        return self.priority if self.type in ("yfx", "yf") else self.priority - 1
-
-    @property
-    def right_max(self) -> int:
-        """Maximum priority allowed for the right argument (infix/prefix)."""
-        return self.priority if self.type in ("xfy", "fy") else self.priority - 1
+    def __post_init__(self) -> None:
+        derived = {
+            "is_prefix": self.type in ("fy", "fx"),
+            "is_infix": self.type in ("xfx", "xfy", "yfx"),
+            "is_postfix": self.type in ("xf", "yf"),
+            "left_max": self.priority if self.type in ("yfx", "yf") else self.priority - 1,
+            "right_max": self.priority if self.type in ("xfy", "fy") else self.priority - 1,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)  # frozen dataclass
 
 
 class OperatorTable:
@@ -89,8 +89,7 @@ class OperatorTable:
         return self._prefix.get(name), self._infix.get(name)
 
 
-def standard_operators() -> OperatorTable:
-    """The DEC-10 / Edinburgh standard operator table."""
+def _standard_table() -> OperatorTable:
     table = OperatorTable()
     definitions = [
         (1200, "xfx", ":-"),
@@ -141,4 +140,21 @@ def standard_operators() -> OperatorTable:
     ]
     for priority, op_type, name in definitions:
         table.add(priority, op_type, name)
+    return table
+
+
+#: The standard definitions, built once: every database and every
+#: default :func:`parse_term` starts from a copy.
+_STANDARD = _standard_table()
+
+
+def standard_operators() -> OperatorTable:
+    """The DEC-10 / Edinburgh standard operator table.
+
+    Each call returns a new table, since ``op/3`` directives extend it;
+    the frozen definitions are shared with :data:`_STANDARD`.
+    """
+    table = OperatorTable()
+    table._prefix.update(_STANDARD._prefix)
+    table._infix.update(_STANDARD._infix)
     return table

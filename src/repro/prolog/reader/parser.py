@@ -31,25 +31,42 @@ __all__ = ["Parser", "parse_term", "parse_program", "parse_terms"]
 #: parsed: just below the priority of ',' so commas separate arguments.
 ARG_PRIORITY = 999
 
+# Token types as module globals: an enum member lookup costs more than
+# the comparison it feeds.
+_ATOM, _VARIABLE, _PUNCT, _END, _EOF = (
+    TokenType.ATOM, TokenType.VARIABLE, TokenType.PUNCT, TokenType.END, TokenType.EOF
+)
+_INTEGER, _FLOAT, _STRING = TokenType.INTEGER, TokenType.FLOAT, TokenType.STRING
+#: Token types that always begin a term.
+_OPERANDS = (_VARIABLE, _INTEGER, _FLOAT, _STRING)
+
 
 class Parser:
     """An operator-precedence (Pratt-style) Prolog parser."""
 
     def __init__(self, text: str, operators: Optional[OperatorTable] = None):
-        self.tokens = tokenize(text)
+        self.text = text
+        #: The token list, read on the first :meth:`read_term` or
+        #: :meth:`at_eof` so that lexing counts as reading. It ends in
+        #: an EOF token, which :meth:`_next` never moves past.
+        self.tokens: Optional[List[Token]] = None
         self.index = 0
         self.operators = operators or standard_operators()
         self._variables: Dict[str, Var] = {}
 
     # -- token stream helpers ---------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def _peek(self) -> Token:
+        return self.tokens[self.index]
+
+    def _peek_second(self) -> Token:
+        """The token after the next one; only called when the next one is
+        not EOF."""
+        return self.tokens[self.index + 1]
 
     def _next(self) -> Token:
-        token = self._peek()
-        if token.type is not TokenType.EOF:
+        token = self.tokens[self.index]
+        if token.type is not _EOF:
             self.index += 1
         return token
 
@@ -59,13 +76,15 @@ class Parser:
 
     def _expect_punct(self, value: str) -> Token:
         token = self._next()
-        if token.type is not TokenType.PUNCT or token.value != value:
+        if token.type is not _PUNCT or token.value != value:
             raise self._error(f"expected {value!r}, got {token.value!r}", token)
         return token
 
     def at_eof(self) -> bool:
         """Has the token stream been consumed?"""
-        return self._peek().type is TokenType.EOF
+        if self.tokens is None:
+            self.tokens = tokenize(self.text)
+        return self.tokens[self.index].type is _EOF
 
     def last_variable_map(self) -> Dict[str, Var]:
         """Source-name → Var map of the most recently parsed clause."""
@@ -86,7 +105,7 @@ class Parser:
         """Parse ``(arg, ..., arg)`` after a functor token."""
         self._expect_punct("(")
         args = [self._parse(ARG_PRIORITY)]
-        while self._peek().type is TokenType.PUNCT and self._peek().value == ",":
+        while self._peek().type is _PUNCT and self._peek().value == ",":
             self._next()
             args.append(self._parse(ARG_PRIORITY))
         self._expect_punct(")")
@@ -94,36 +113,44 @@ class Parser:
 
     def _list(self) -> Term:
         """Parse a list after the opening ``[``."""
-        if self._peek().type is TokenType.PUNCT and self._peek().value == "]":
+        if self._peek().type is _PUNCT and self._peek().value == "]":
             self._next()
             return Atom("[]")
         items = [self._parse(ARG_PRIORITY)]
-        while self._peek().type is TokenType.PUNCT and self._peek().value == ",":
+        while self._peek().type is _PUNCT and self._peek().value == ",":
             self._next()
             items.append(self._parse(ARG_PRIORITY))
         tail: Term = Atom("[]")
-        if self._peek().type is TokenType.PUNCT and self._peek().value == "|":
+        if self._peek().type is _PUNCT and self._peek().value == "|":
             self._next()
             tail = self._parse(ARG_PRIORITY)
         self._expect_punct("]")
         return make_list(items, tail)
 
+    def _integer(self, token: Token) -> int:
+        try:
+            return int(token.value)
+        except ValueError:  # more digits than int() converts
+            raise self._error(
+                f"integer too long ({len(token.value)} digits)", token
+            ) from None
+
     def _primary(self, max_priority: int) -> Tuple[Term, int]:
         """Parse one primary term; returns (term, its priority)."""
         token = self._next()
-
-        if token.type is TokenType.EOF:
-            raise self._error("unexpected end of input", token)
-        if token.type is TokenType.VARIABLE:
+        kind = token.type
+        if kind is _ATOM:
+            return self._atom(token, max_priority)
+        if kind is _VARIABLE:
             return self._variable(token), 0
-        if token.type is TokenType.INTEGER:
-            return int(token.value), 0
-        if token.type is TokenType.FLOAT:
+        if kind is _INTEGER:
+            return self._integer(token), 0
+        if kind is _FLOAT:
             return float(token.value), 0
-        if token.type is TokenType.STRING:
+        if kind is _STRING:
             return make_list([ord(c) for c in token.value]), 0
 
-        if token.type is TokenType.PUNCT:
+        if kind is _PUNCT:
             if token.value == "(":
                 term = self._parse(MAX_PRIORITY)
                 self._expect_punct(")")
@@ -136,25 +163,23 @@ class Parser:
                 return Struct("{}", (term,)), 0
             raise self._error(f"unexpected {token.value!r}", token)
 
-        if token.type is TokenType.END:
-            raise self._error("unexpected clause terminator", token)
+        if kind is _EOF:
+            raise self._error("unexpected end of input", token)
+        raise self._error("unexpected clause terminator", token)
 
-        assert token.type is TokenType.ATOM
+    def _atom(self, token: Token, max_priority: int) -> Tuple[Term, int]:
+        """A primary term that starts with an atom token."""
         name = token.value
-
         if token.functor:
             return Struct(name, self._arguments()), 0
 
         prefix_def = self.operators.prefix(name)
         if prefix_def is not None and prefix_def.priority <= max_priority:
             # Negative number literals: '-' immediately before a number.
-            if name == "-" and self._peek().type in (
-                TokenType.INTEGER,
-                TokenType.FLOAT,
-            ):
+            if name == "-" and self._peek().type in (_INTEGER, _FLOAT):
                 number = self._next()
-                if number.type is TokenType.INTEGER:
-                    return -int(number.value), 0
+                if number.type is _INTEGER:
+                    return -self._integer(number), 0
                 return -float(number.value), 0
             if self._starts_term():
                 try:
@@ -172,21 +197,16 @@ class Parser:
     def _starts_term(self) -> bool:
         """Can the next token begin a term? (Prefix-operator lookahead.)"""
         token = self._peek()
-        if token.type in (
-            TokenType.VARIABLE,
-            TokenType.INTEGER,
-            TokenType.FLOAT,
-            TokenType.STRING,
-        ):
+        if token.type in _OPERANDS:
             return True
-        if token.type is TokenType.ATOM:
+        if token.type is _ATOM:
             # An infix operator cannot begin a term unless also prefix.
             infix = self.operators.infix(token.value)
             prefix = self.operators.prefix(token.value)
             if infix is not None and prefix is None and not token.functor:
                 return False
             return True
-        if token.type is TokenType.PUNCT:
+        if token.type is _PUNCT:
             return token.value in "([{"
         return False
 
@@ -196,7 +216,7 @@ class Parser:
         left, left_priority = self._primary(max_priority)
         while True:
             token = self._peek()
-            if token.type is TokenType.PUNCT and token.value == ",":
+            if token.type is _PUNCT and token.value == ",":
                 definition = self.operators.infix(",")
                 assert definition is not None
                 if definition.priority > max_priority:
@@ -208,7 +228,7 @@ class Parser:
                 left = Struct(",", (left, right))
                 left_priority = definition.priority
                 continue
-            if token.type is not TokenType.ATOM:
+            if token.type is not _ATOM:
                 return left
             infix_def = self.operators.infix(token.value)
             if infix_def is not None and infix_def.priority <= max_priority:
@@ -229,17 +249,10 @@ class Parser:
 
     def _infix_viable(self) -> bool:
         """True when the token after a would-be infix op can start a term."""
-        after = self._peek(1)
-        if after.type in (
-            TokenType.VARIABLE,
-            TokenType.INTEGER,
-            TokenType.FLOAT,
-            TokenType.STRING,
-        ):
+        after = self._peek_second()
+        if after.type in _OPERANDS or after.type is _ATOM:
             return True
-        if after.type is TokenType.ATOM:
-            return True
-        if after.type is TokenType.PUNCT:
+        if after.type is _PUNCT:
             return after.value in "([{"
         return False
 
@@ -252,7 +265,7 @@ class Parser:
         self._variables = {}
         term = self._parse(MAX_PRIORITY)
         token = self._next()
-        if token.type is not TokenType.END:
+        if token.type is not _END:
             raise self._error(
                 f"expected '.' to end clause, got {token.value!r}", token
             )
@@ -295,9 +308,14 @@ class Parser:
 def parse_term(text: str, operators: Optional[OperatorTable] = None) -> Term:
     """Parse a single term from ``text`` (with or without a final ``.``)."""
     stripped = text.rstrip()
-    if not stripped.endswith("."):
-        stripped += " ."
     parser = Parser(stripped, operators)
+    tokens = parser.tokens = tokenize(stripped)
+    if len(tokens) < 2 or tokens[-2].type is not _END:
+        # No final '.' token (a trailing '.' may belong to a symbol
+        # atom such as '=..'): read as if " ." followed the text.
+        eof = tokens.pop()
+        tokens.append(Token(_END, ".", eof.line, eof.column + 1))
+        tokens.append(Token(_EOF, "", eof.line, eof.column + 2))
     term = parser.read_term()
     if term is None:
         raise PrologSyntaxError("empty input")

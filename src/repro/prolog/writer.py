@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from .reader.lexer import SOLO_ATOMS, SYMBOL_CHARS
 from .reader.operators import MAX_PRIORITY, OperatorTable, standard_operators
 from .terms import (
     Atom,
@@ -31,8 +32,9 @@ from .terms import (
 
 __all__ = ["term_to_string", "clause_to_string", "program_to_string", "TermWriter"]
 
-_UNQUOTED_SOLO = {"[]", "{}", "!", ";", ",", "|"}
-_SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&$")
+#: Atoms written bare although they are neither names nor symbol runs.
+#: ``','`` and ``'|'`` are not among them: bare, they read as punctuation.
+_UNQUOTED_SOLO = {"[]", "{}", "!", ";"}
 
 
 def _atom_needs_quotes(name: str) -> bool:
@@ -40,10 +42,12 @@ def _atom_needs_quotes(name: str) -> bool:
         return True
     if name in _UNQUOTED_SOLO:
         return False
-    if name[0].islower() and all(c.isalnum() or c == "_" for c in name):
+    first = name[0]
+    if first.isalpha() and first.islower() and all(c.isalnum() or c == "_" for c in name):
         return False
-    if all(c in _SYMBOL_CHARS for c in name):
-        return False
+    if all(c in SYMBOL_CHARS for c in name):
+        # A bare '.' ends a clause, and '/*' opens a comment.
+        return name == "." or name.startswith("/*")
     return True
 
 
@@ -116,7 +120,10 @@ class TermWriter:
         if rendered is not None:
             return rendered
         args = ", ".join(self.write(a, 999) for a in term.args)
-        return f"{self.atom_text(term.name)}({args})"
+        # '!' and ';' are solo tokens: bare, they never read as a functor.
+        name = term.name
+        functor = _quote_atom(name) if name in SOLO_ATOMS else self.atom_text(name)
+        return f"{functor}({args})"
 
     def _write_list(self, term: Struct) -> str:
         parts: List[str] = []
@@ -149,6 +156,8 @@ class TermWriter:
             definition = self.operators.prefix(term.name)
             if definition is None:
                 return None
+            if term.name == "-" and is_number(deref(term.args[0])):
+                return None  # '- 1' would read as the integer -1
             operand = self.write(term.args[0], definition.right_max)
             text = f"{term.name} {operand}"
             if definition.priority > max_priority:

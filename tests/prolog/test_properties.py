@@ -1,11 +1,14 @@
 """Property-based tests (hypothesis) for the Prolog substrate invariants:
-unification algebra, trail discipline, parser/writer round-trips, and
-standard-order laws."""
+unification algebra, trail discipline, parser/writer round-trips,
+reader robustness, and standard-order laws."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from repro.prolog.reader.parser import parse_term
+from repro.errors import PrologSyntaxError
+from repro.prolog.reader.lexer import SYMBOL_CHARS
+from repro.prolog.reader.parser import parse_term, parse_terms
 from repro.prolog.terms import (
     Atom,
     Struct,
@@ -30,6 +33,14 @@ numbers = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=32).map(float),
 )
 functor_names = st.sampled_from(["f", "g", "h", "pair", "."])
+#: Atom names the writer must quote, or leave bare, correctly: any
+#: Unicode text, symbol-char runs, and the solo and punctuation atoms.
+any_atom_names = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet=sorted(SYMBOL_CHARS), min_size=1, max_size=5),
+    st.sampled_from(["[]", "{}", "!", ";", ",", "|", "'", "\\", "\n", "''", "%", "/*"]),
+    st.text(alphabet="abXY_09'\\\n \t.,|!é²ⅰ", max_size=6),
+)
 
 
 def structs(children):
@@ -158,6 +169,66 @@ class TestRoundTripProperties:
         text = term_to_string(term)
         reparsed = parse_term(text)
         assert term_to_string(reparsed) == text
+
+    @given(any_atom_names)
+    @settings(max_examples=400)
+    def test_atom_roundtrip(self, name):
+        text = term_to_string(Atom(name))
+        assert parse_term(text) == Atom(name), text
+
+    @given(any_atom_names, st.sampled_from([Atom("x"), Atom("[]"), 1, -2, -2.5]))
+    @settings(max_examples=400)
+    def test_unary_struct_roundtrip(self, name, argument):
+        term = Struct(name, (argument,))
+        text = term_to_string(term)
+        assert structural_eq(parse_term(text), term), text
+
+
+# -- reader robustness ---------------------------------------------------------------
+
+#: Pieces of Prolog text, so that generated input reaches the parser.
+TEXT_FRAGMENTS = [
+    "foo", "X", "_", "f(", ")", "[", "]", "|", "{", "}", ", ", ":-", "-", "=..",
+    "\\+", ".", ". ", "!", ";", "0'", "0'a", "12", "2.5e3", "'q'", "'\\", '"s"',
+    "% c\n", "/*", "*/", " ", "\n", "²", "٣", "é", "Ω", "op(700, xfx, is)",
+]
+
+reader_texts = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(TEXT_FRAGMENTS), max_size=15).map("".join),
+)
+
+
+class TestReaderRobustness:
+    """Malformed text raises :class:`PrologSyntaxError`, never a Python error."""
+
+    @given(reader_texts)
+    @settings(max_examples=400)
+    def test_parse_terms_reads_or_raises_syntax_error(self, text):
+        try:
+            parse_terms(text)
+        except PrologSyntaxError:
+            pass
+
+    @given(reader_texts)
+    @settings(max_examples=400)
+    def test_parse_term_reads_or_raises_syntax_error(self, text):
+        try:
+            parse_term(text)
+        except PrologSyntaxError:
+            pass
+
+    @pytest.mark.parametrize("text", ["X = 0'", "X = 2²"])
+    def test_known_crash_inputs_raise_syntax_errors(self, text):
+        with pytest.raises(PrologSyntaxError):
+            parse_term(text)
+
+    def test_overlong_integer_reads_or_raises_syntax_error(self):
+        # int() refuses more than 4300 digits on Pythons with the limit.
+        try:
+            parse_term("X = " + "1" * 5000)
+        except PrologSyntaxError:
+            pass
 
 
 # -- standard order properties -----------------------------------------------------
