@@ -1,4 +1,4 @@
-"""Clause compilation: slot-based skeletons with lazy body materialization.
+"""Clause compilation: slot-based skeletons lowered to VM bytecode.
 
 The paper's execution model charges one clause *try* per head attempted
 (the ``c_i`` costs its Markov model consumes), so the engine's clause-try
@@ -342,55 +342,55 @@ class CompiledClause:
         Allocates the flat frame of fresh variables (head *and* body
         slots, once), then runs the per-argument specs: fresh-variable
         arguments bind directly without entering the general unifier,
-        ground arguments and compounds go through :func:`~.unify.unify`.
-        Returns the frame on success and ``None`` on failure; in both
-        cases bindings stay on the trail for the caller's mark/undo
-        discipline, exactly like a plain ``unify`` call.
+        and so do atom constants (interned, so a bound goal argument
+        matches only the same object); other ground arguments and
+        compounds go through :func:`~.unify.unify`. Returns the frame on
+        success and ``None`` on failure; in both cases bindings stay on
+        the trail for the caller's mark/undo discipline, exactly like a
+        plain ``unify`` call.
         """
         names = self.var_names
-        frame = [Var(name) for name in names] if names else _NO_SLOTS
+        frame = list(map(Var, names)) if names else _NO_SLOTS
+        push = trail._entries.append
         index = 0
         for tag, payload in self.head_args:
             goal_arg = goal_args[index]
             index += 1
-            if tag == _ARG_FRESH:
-                while isinstance(goal_arg, Var):
+            if tag == _ARG_CONST:
+                if type(payload) is not Atom:
+                    if not unify(goal_arg, payload, trail, occurs_check):
+                        return None
+                    continue
+                while type(goal_arg) is Var:
                     ref = goal_arg.ref
                     if ref is None:
+                        goal_arg.ref = payload
+                        push(goal_arg)
                         break
                     goal_arg = ref
-                if isinstance(goal_arg, Var):
-                    # Bind the caller's variable to the fresh slot —
-                    # the same direction the general unifier picks.
-                    goal_arg.ref = frame[payload]
-                    trail.push(goal_arg)
-                else:
+                else:  # bound: only the interned atom itself matches
+                    if goal_arg is not payload:
+                        return None
+            elif tag == _ARG_FRESH:
+                while type(goal_arg) is Var:
+                    ref = goal_arg.ref
+                    if ref is None:
+                        # Bind the caller's variable to the fresh slot —
+                        # the same direction the general unifier picks.
+                        goal_arg.ref = frame[payload]
+                        push(goal_arg)
+                        break
+                    goal_arg = ref
+                else:  # bound: the fresh slot takes the goal's value
                     var = frame[payload]
                     var.ref = goal_arg
-                    trail.push(var)
-            elif tag == _ARG_CONST:
-                if not unify(goal_arg, payload, trail, occurs_check):
-                    return None
+                    push(var)
             elif tag == _ARG_SLOT:
                 if not unify(goal_arg, frame[payload], trail, occurs_check):
                     return None
-            else:
-                if not unify(
-                    goal_arg, _run(payload, frame), trail, occurs_check
-                ):
-                    return None
+            elif not unify(goal_arg, _run(payload, frame), trail, occurs_check):
+                return None
         return frame
-
-    def materialize_body(self, frame) -> List[Term]:
-        """The body goals instantiated against ``frame``, in order.
-
-        Ground goals are shared; the rest are rebuilt iteratively from
-        their build programs. Empty for facts.
-        """
-        return [
-            const if code is None else _run(code, frame)
-            for code, const in self.goals
-        ]
 
     def vm_code(self):
         """The body lowered to VM bytecode (compiled lazily, cached).

@@ -158,7 +158,28 @@ def first_arg_key(term: Term):
     ``1.0`` stay distinct), compounds as ``(name, arity)``. The three
     families cannot collide: a ``(type, value)`` pair never equals a
     ``(str, int)`` pair, and an ``Atom`` equals only itself.
+
+    Dispatches on the exact ``type()`` of the dereferenced term (the
+    per-call hot path); any other type takes the ``isinstance`` path of
+    :func:`_general_arg_key`.
     """
+    kind = type(term)
+    while kind is Var:
+        term = term.ref
+        if term is None:
+            return None
+        kind = type(term)
+    if kind is Atom:
+        return term
+    if kind is Struct:
+        return (term.name, len(term.args))
+    if kind is int or kind is float:
+        return (kind, term)
+    return _general_arg_key(term)
+
+
+def _general_arg_key(term: Term):
+    """:func:`first_arg_key` for a term of a type it does not dispatch."""
     term = deref(term)
     if isinstance(term, Atom):
         return term

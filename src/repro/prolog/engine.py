@@ -403,8 +403,13 @@ class Engine:
             recorder.close_box(box, failed)
 
     def _charge_call(self, indicator: Indicator) -> None:
-        self.metrics.record_call(indicator)
-        if self.call_budget is not None and self.metrics.calls > self.call_budget:
+        # Metrics.record_call inlined (every call of every engine path
+        # passes here); the totals must stay the same.
+        metrics = self.metrics
+        metrics.calls += 1
+        by_predicate = metrics.calls_by_predicate
+        by_predicate[indicator] = by_predicate.get(indicator, 0) + 1
+        if self.call_budget is not None and metrics.calls > self.call_budget:
             raise CallBudgetExceeded(
                 f"exceeded {self.call_budget} calls (at {indicator[0]}/{indicator[1]})"
             )

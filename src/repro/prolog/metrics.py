@@ -93,20 +93,6 @@ class Metrics:
         """Charge one table reaching its fixpoint."""
         self.tables_completed += 1
 
-    def reset(self) -> None:
-        """Zero all counters in place."""
-        self.calls = 0
-        self.unifications = 0
-        self.clause_entries = 0
-        self.backtracks = 0
-        self.skeleton_instantiations = 0
-        self.head_fast_rejects = 0
-        self.calls_by_predicate.clear()
-        self.table_hits = 0
-        self.table_misses = 0
-        self.table_answers = 0
-        self.tables_completed = 0
-
     def snapshot(self) -> "Metrics":
         """An independent copy of the current counters."""
         return Metrics(

@@ -61,6 +61,9 @@ class Atom:
 
     Atoms are interned: ``Atom('foo') is Atom('foo')`` always holds, so
     identity comparison is sufficient (and fast) everywhere in the engine.
+    Atoms therefore hash and compare by identity: the class defines no
+    ``__hash__`` or ``__eq__``, so dict and set lookups keyed by atoms
+    make no Python-level call. An atom never equals its name string.
     """
 
     __slots__ = ("name",)
@@ -82,7 +85,9 @@ class Atom:
 
     def __getnewargs__(self) -> tuple:
         # Unpickling routes through __new__, so a pickled atom re-interns
-        # (and preserves identity equality) in the receiving process.
+        # in the receiving process: identity equality holds there, and
+        # dict and set entries keyed by it are found again after the
+        # container is rebuilt with the receiving process's hashes.
         return (self.name,)
 
     def __getstate__(self) -> dict:
@@ -90,12 +95,6 @@ class Atom:
 
     def __setstate__(self, state) -> None:
         pass
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
     # Interning makes copies unnecessary; deepcopy must preserve identity.
     def __copy__(self) -> "Atom":

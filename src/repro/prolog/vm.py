@@ -24,7 +24,22 @@ Clause bodies are lowered to the linear bytecode of
 Counter discipline is byte-identical to the generator clause loop this
 machine replaced (``BENCH_engine.json`` and the recorder-parity
 fixture pin it), and the charged counters match the seed interpreter
-``Engine(compiled=False)``, the differential oracle.
+``Engine(compiled=False)``, the differential oracle. The clause-attempt
+loops bump the :class:`~repro.prolog.metrics.Metrics` fields in place
+(as ``Engine._charge_call`` does for calls) instead of calling its
+``record_*`` methods; those bumps must stay in step with the methods,
+which the interpreter and tabling still use. ``BENCH_engine.json``'s
+exact counters and the two-way differential suite pin them.
+
+Facts return at once. A clause with empty bytecode needs no activation:
+once its head unifies, at call entry or on a retry, the machine resumes
+the call's continuation directly instead of entering the empty body and
+popping the continuation in a PROCEED round. It still charges the budget
+step that round would have charged, so ``max_steps`` accounting is
+unchanged. A deterministic fact (the last candidate, with no recorder
+box open) goes further: the caller continues at ``pc + 1``, with no cut
+``Frame`` allocated and no continuation tuple built. A root call's own
+clauses keep their PROCEED round, which is where the machine yields.
 
 Choice-point kinds:
 
@@ -508,9 +523,10 @@ class Machine:
     # -- clause attempt loops -------------------------------------------
     #
     # Shared by call entry (first attempt, no choice point yet) and the
-    # backtrack handlers (retry from a stored cursor). Every record_*
-    # call below is a counter the differential suites and the engine
-    # benchmark pin.
+    # backtrack handlers (retry from a stored cursor). Every counter
+    # bumped below is one the differential suites and the engine
+    # benchmark pin; the bumps are Metrics.record_* inlined, and must
+    # stay in step with those methods.
 
     def _try_clauses(
         self, goal_args, clauses, program, cursor, mark,
@@ -529,12 +545,13 @@ class Machine:
         metrics = engine.metrics
         trail = engine.trail
         occurs = engine.occurs_check
-        undo_to = trail.undo_to
         total = len(clauses)
         compiled = None
+        slots = None
+        retries = rejects = attempts = 0
         while cursor < total:
             if cursor:
-                metrics.record_backtrack()
+                retries += 1
             compiled = program[clauses[cursor].index]
             cursor += 1
             if goal_keys is not None:
@@ -546,17 +563,20 @@ class Machine:
                         rejected = True
                         break
                 if rejected:
-                    metrics.record_fast_reject()
+                    rejects += 1
                     continue
+            attempts += 1
             slots = compiled.unify_head(goal_args, trail, occurs)
-            metrics.record_instantiation()
             if slots is None:
-                metrics.record_unification(False)
-                undo_to(mark)
+                trail.undo_to(mark)
                 continue
-            metrics.record_unification(True)
-            return slots, cursor, compiled
-        return None, cursor, compiled
+            metrics.clause_entries += 1
+            break
+        metrics.backtracks += retries
+        metrics.head_fast_rejects += rejects
+        metrics.skeleton_instantiations += attempts
+        metrics.unifications += rejects + attempts
+        return slots, cursor, compiled
 
     def _try_plan(
         self, goal_args, plan, program, index, processed, mark,
@@ -571,21 +591,21 @@ class Machine:
         metrics = engine.metrics
         trail = engine.trail
         occurs = engine.occurs_check
-        undo_to = trail.undo_to
         steps = len(plan)
         compiled = None
+        slots = None
+        retries = rejects = attempts = 0
         while index < steps:
             skipped, clause = plan[index]
             index += 1
             if skipped:
-                metrics.unifications += skipped
-                metrics.head_fast_rejects += skipped
-                metrics.backtracks += skipped if processed else skipped - 1
+                rejects += skipped
+                retries += skipped if processed else skipped - 1
                 processed += skipped
             if clause is None:
                 break
             if processed:
-                metrics.record_backtrack()
+                retries += 1
             processed += 1
             compiled = program[clause.index]
             head_keys = compiled.head_keys
@@ -596,17 +616,20 @@ class Machine:
                     rejected = True
                     break
             if rejected:
-                metrics.record_fast_reject()
+                rejects += 1
                 continue
+            attempts += 1
             slots = compiled.unify_head(goal_args, trail, occurs)
-            metrics.record_instantiation()
             if slots is None:
-                metrics.record_unification(False)
-                undo_to(mark)
+                trail.undo_to(mark)
                 continue
-            metrics.record_unification(True)
-            return slots, index, processed, compiled
-        return None, index, processed, compiled
+            metrics.clause_entries += 1
+            break
+        metrics.backtracks += retries
+        metrics.head_fast_rejects += rejects
+        metrics.skeleton_instantiations += attempts
+        metrics.unifications += rejects + attempts
+        return slots, index, processed, compiled
 
     # -- the trampoline -------------------------------------------------
 
@@ -694,12 +717,18 @@ class Machine:
                         ops = compiled.vm_ops
                         if ops is None:
                             ops = compiled.vm_code()
+                        failing = False
+                        if not ops and cp[1] is not None:
+                            # A fact: return to the continuation at once.
+                            if budget is not None:
+                                budget.charge_step()
+                            (ops, pc, frame_slots, frame, barrier, depth, cont) = cp[1]
+                            continue
                         pc = 0
                         frame_slots = slots
                         frame = cp[7]
                         depth = cp[8]
                         cont = cp[1]
-                        failing = False
                         continue
                     if kind == CP_PLAN:
                         undo_to(cp[7])
@@ -719,12 +748,18 @@ class Machine:
                         ops = compiled.vm_ops
                         if ops is None:
                             ops = compiled.vm_code()
+                        failing = False
+                        if not ops and cp[1] is not None:
+                            # A fact: return to the continuation at once.
+                            if budget is not None:
+                                budget.charge_step()
+                            (ops, pc, frame_slots, frame, barrier, depth, cont) = cp[1]
+                            continue
                         pc = 0
                         frame_slots = slots
                         frame = cp[8]
                         depth = cp[9]
                         cont = cp[1]
-                        failing = False
                         continue
                     cps.pop()
                     if kind == CP_ALT:
@@ -816,7 +851,7 @@ class Machine:
                     # scan plan — without touching the index. The memo is
                     # bypassed whenever IndexEvents are being observed.
                     if args:
-                        goal_keys = tuple([first_arg_key(arg) for arg in args])
+                        goal_keys = tuple(map(first_arg_key, args))
                     else:
                         goal_keys = ()
                     cache_key = (indicator, goal_keys)
@@ -871,9 +906,6 @@ class Machine:
                         failing = True
                         continue
                     mark = trail_mark()
-                    saved = (ops, pc + 1, frame_slots, frame, barrier, depth, cont)
-                    if entry is not None:
-                        saved = (_EXIT_OPS, 0, entry, None, 0, depth, saved)
                     if plan is None:
                         slots, cursor, compiled = self._try_clauses(
                             args, clauses, program, 0, mark,
@@ -882,14 +914,7 @@ class Machine:
                         if slots is None:
                             failing = True
                             continue
-                        barrier = len(cps)
-                        frame = Frame()
-                        if cursor < len(clauses):
-                            cps_append(
-                                [CP_CLAUSES, saved, args, clauses, program,
-                                 cursor, mark, frame, depth + 1,
-                                 goal_keys, bound_positions]
-                            )
+                        last = cursor == len(clauses)
                     else:
                         slots, index, processed, compiled = self._try_plan(
                             args, plan, program, 0, 0, mark,
@@ -898,17 +923,42 @@ class Machine:
                         if slots is None:
                             failing = True
                             continue
-                        barrier = len(cps)
-                        frame = Frame()
-                        if not (index == len(plan) - 1 and plan[index][0] == 0):
-                            cps_append(
-                                [CP_PLAN, saved, args, plan, program,
-                                 index, processed, mark, frame, depth + 1,
-                                 goal_keys, bound_positions]
-                            )
-                    ops = compiled.vm_ops
-                    if ops is None:
-                        ops = compiled.vm_code()
+                        last = index == len(plan) - 1 and plan[index][0] == 0
+                    body = compiled.vm_ops
+                    if body is None:
+                        body = compiled.vm_code()
+                    if last and not body and entry is None:
+                        # A deterministic fact: continue the caller at
+                        # once, charging the step of the skipped PROCEED.
+                        if budget is not None:
+                            budget.charge_step()
+                        pc += 1
+                        continue
+                    saved = (ops, pc + 1, frame_slots, frame, barrier, depth, cont)
+                    if entry is not None:
+                        saved = (_EXIT_OPS, 0, entry, None, 0, depth, saved)
+                    barrier = len(cps)
+                    frame = Frame()
+                    if not last and plan is None:
+                        cps_append(
+                            [CP_CLAUSES, saved, args, clauses, program,
+                             cursor, mark, frame, depth + 1,
+                             goal_keys, bound_positions]
+                        )
+                    elif not last:
+                        cps_append(
+                            [CP_PLAN, saved, args, plan, program,
+                             index, processed, mark, frame, depth + 1,
+                             goal_keys, bound_positions]
+                        )
+                    if not body:
+                        # A fact with alternatives or a box: return to
+                        # the continuation at once (see the module docstring).
+                        if budget is not None:
+                            budget.charge_step()
+                        (ops, pc, frame_slots, frame, barrier, depth, cont) = saved
+                        continue
+                    ops = body
                     pc = 0
                     frame_slots = slots
                     depth = depth + 1

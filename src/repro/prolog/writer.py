@@ -2,9 +2,12 @@
 
 The reordering system is source-to-source, so its output must re-read
 under :mod:`repro.prolog.reader`. The writer round-trips everything the
-parser accepts: operators are re-emitted in operator notation with
-minimal parenthesisation, lists in ``[a, b | T]`` notation, and atoms are
-quoted when their spelling requires it.
+parser accepts, clause by clause: operators are re-emitted in operator
+notation with minimal parenthesisation (an operator atom that is itself
+an operand is bracketed, ``(-) - a``), lists in ``[a, b | T]``
+notation, and atoms, operator names included, are quoted when their
+spelling requires it. A clause whose text ends in a symbol character is
+terminated with `` .``, since ``+.`` would read as one atom.
 
 Two styles are offered:
 
@@ -138,17 +141,26 @@ class TermWriter:
                 return "[" + ", ".join(parts) + "]"
             return "[" + ", ".join(parts) + " | " + self.write(current, 999) + "]"
 
+    def _operand(self, term: Term, max_priority: int) -> str:
+        """Render an operand of an operator. An operator atom there is
+        bracketed: bare, the reader could take it for the operator
+        itself (``(-) - a`` is not ``- - a``)."""
+        term = deref(term)
+        if isinstance(term, Atom) and self.operators.is_operator(term.name):
+            return "(" + self.atom_text(term.name) + ")"
+        return self.write(term, max_priority)
+
     def _write_operator(self, term: Struct, max_priority: int) -> Optional[str]:
         if term.arity == 2:
             definition = self.operators.infix(term.name)
             if definition is None:
                 return None
-            left = self.write(term.args[0], definition.left_max)
-            right = self.write(term.args[1], definition.right_max)
+            left = self._operand(term.args[0], definition.left_max)
+            right = self._operand(term.args[1], definition.right_max)
             if term.name == ",":
                 text = f"{left}, {right}"
             else:
-                text = f"{left} {term.name} {right}"
+                text = f"{left} {self.atom_text(term.name)} {right}"
             if definition.priority > max_priority:
                 return f"({text})"
             return text
@@ -158,8 +170,8 @@ class TermWriter:
                 return None
             if term.name == "-" and is_number(deref(term.args[0])):
                 return None  # '- 1' would read as the integer -1
-            operand = self.write(term.args[0], definition.right_max)
-            text = f"{term.name} {operand}"
+            operand = self._operand(term.args[0], definition.right_max)
+            text = f"{self.atom_text(term.name)} {operand}"
             if definition.priority > max_priority:
                 return f"({text})"
             return text
@@ -187,10 +199,16 @@ def clause_to_string(
             current = deref(current.args[1])
         goals.append(writer.write(current, 999))
         body_text = (",\n" + indent).join(goals)
-        return f"{head_text} :-\n{indent}{body_text}."
+        return _end_clause(f"{head_text} :-\n{indent}{body_text}")
     if isinstance(clause, Struct) and clause.name == ":-" and clause.arity == 1:
-        return f":- {writer.write(clause.args[0], 1199)}."
-    return f"{writer.write(clause, 1199)}."
+        return _end_clause(f":- {writer.write(clause.args[0], 1199)}")
+    return _end_clause(writer.write(clause, 1199))
+
+
+def _end_clause(text: str) -> str:
+    """Terminate a clause. After a symbol character the end is written
+    `` .``: a bare ``.`` would lex as part of a symbol atom (``+.``)."""
+    return f"{text} ." if text[-1] in SYMBOL_CHARS else f"{text}."
 
 
 def program_to_string(

@@ -1,8 +1,8 @@
 """Unit tests for the clause-compilation layer (repro.prolog.compile).
 
 The skeleton contracts the engine's hot loop relies on: dense slot
-numbering, ground-subterm sharing (identity, not equality), lazy body
-materialization, trail discipline of ``unify_head``, head fingerprints,
+numbering, ground-subterm sharing (identity, not equality), body goal
+sharing, trail discipline of ``unify_head``, head fingerprints,
 and the database's generation-counter cache invalidation.
 """
 
@@ -18,7 +18,7 @@ from repro.prolog import (
     parse_term,
     split_clause,
 )
-from repro.prolog.compile import CompiledClause
+from repro.prolog.compile import CompiledClause, _run
 from repro.prolog.terms import deref
 
 
@@ -109,32 +109,32 @@ class TestUnifyHead:
         assert frame == ()
 
 
-class TestMaterializeBody:
+class TestBodyGoals:
     def test_ground_goal_is_shared_identity(self):
         clause = compiled("p(X) :- q(a, b), r(X)")
-        trail = Trail()
-        frame = clause.unify_head((Atom("z"),), trail)
-        first = clause.materialize_body(frame)
-        second = clause.materialize_body(frame)
-        assert first[0] is second[0]  # shared ground goal
-        assert first[1] is not second[1]  # rebuilt per call
+        (ground_code, ground), (code, const) = clause.goals
+        assert ground_code is None  # shared, never rebuilt
+        assert ground.name == "q" and const is None
+        frame = clause.unify_head((Atom("z"),), Trail())
+        assert _run(code, frame) is not _run(code, frame)  # rebuilt per call
 
     def test_nonground_goal_uses_frame_variables(self):
         clause = compiled("p(X) :- q(f(X, g(X)))")
         trail = Trail()
         frame = clause.unify_head((Var("C"),), trail)
-        [goal] = clause.materialize_body(frame)
+        [(code, _const)] = clause.goals
+        goal = _run(code, frame)
         inner = goal.args[0]
         assert inner.args[0] is frame[0]
         assert inner.args[1].args[0] is frame[0]
 
     def test_nested_ground_subterm_shared_inside_nonground(self):
         clause = compiled("p(X) :- q(X, big(ground, term))")
-        [code_const] = clause.goals
+        [(code, _const)] = clause.goals
         trail = Trail()
         frame = clause.unify_head((Var("C"),), trail)
-        first = clause.materialize_body(frame)[0]
-        second = clause.materialize_body(frame)[0]
+        first = _run(code, frame)
+        second = _run(code, frame)
         assert first.args[1] is second.args[1]
 
 

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import PrologSyntaxError
+from repro.prolog.compile import CompiledClause
 from repro.prolog.reader.lexer import SYMBOL_CHARS
+from repro.prolog.reader.operators import standard_operators
 from repro.prolog.reader.parser import parse_term, parse_terms
+from repro.prolog.tabling.variant import variant_key
 from repro.prolog.terms import (
     Atom,
     Struct,
@@ -20,7 +23,7 @@ from repro.prolog.terms import (
     term_variables,
 )
 from repro.prolog.unify import Trail, unify
-from repro.prolog.writer import term_to_string
+from repro.prolog.writer import program_to_string, term_to_string
 
 # -- term strategies -------------------------------------------------------
 
@@ -182,6 +185,164 @@ class TestRoundTripProperties:
         term = Struct(name, (argument,))
         text = term_to_string(term)
         assert structural_eq(parse_term(text), term), text
+
+
+#: User-defined operators whose names the writer must quote.
+USER_OPERATORS = [(700, "xfx", "my op"), (200, "xfy", "Then"), (300, "fy", "not yet")]
+#: Atoms a clause may end in: symbol runs (the clause end after them is
+#: `` .``), operators written as plain atoms, and the user operators'
+#: names.
+clause_atoms = st.sampled_from(
+    ["a", "+", "-", "=..", ":-", "\\+", "*", "[]", "!", ";", "it's"]
+    + [name for _priority, _kind, name in USER_OPERATORS]
+).map(Atom)
+
+
+@st.composite
+def clause_terms(draw):
+    """A fact, a rule or a directive whose body mixes builtin and
+    user-defined operators over shared clause variables."""
+    pool = [Var("X"), Var("Y"), Var("Z")]
+
+    def term(depth):
+        kind = draw(st.integers(min_value=0, max_value=4 if depth < 3 else 2))
+        if kind == 0:
+            return draw(clause_atoms)
+        if kind == 1:
+            return draw(numbers)
+        if kind == 2:
+            return pool[draw(st.integers(min_value=0, max_value=2))]
+        if kind == 3:
+            _priority, op_type, name = draw(st.sampled_from(USER_OPERATORS))
+            arity = 1 if op_type == "fy" else 2
+            return Struct(name, tuple(term(depth + 1) for _ in range(arity)))
+        name = draw(st.sampled_from(["f", "=", "is", "-", "my op", "\\+"]))
+        arity = draw(st.integers(min_value=1, max_value=2))
+        return Struct(name, tuple(term(depth + 1) for _ in range(arity)))
+
+    def goal():
+        if draw(st.booleans()):
+            return Struct("=", (pool[0], term(1)))
+        return Struct(draw(functor_names), (term(1),))
+
+    head = Struct(draw(functor_names), (term(1), term(1)))
+    shape = draw(st.integers(min_value=0, max_value=2))
+    if shape == 0:
+        return head
+    goals = [goal() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    body = goals[-1]
+    for previous in reversed(goals[:-1]):
+        body = Struct(",", (previous, body))
+    if shape == 1:
+        return Struct(":-", (head, body))
+    return Struct(":-", (body,))
+
+
+class TestClauseRoundTripProperties:
+    @pytest.mark.parametrize(
+        "source, written",
+        [("+", "+ ."), ("f(X) :- g(X), =..", "f(X) :-\n    g(X),\n    =.. ."),
+         ("f(X) :- X = (+)", "f(X) :-\n    X = (+).")],
+    )
+    def test_symbol_atom_ends_clause(self, source, written):
+        clause = parse_term(source)
+        text = program_to_string([clause])
+        assert text == written + "\n"
+        [reread] = parse_terms(text)
+        assert variant_key(reread) == variant_key(clause)
+
+    @given(st.lists(clause_terms(), min_size=1, max_size=4))
+    @settings(max_examples=300)
+    def test_program_roundtrip(self, clauses):
+        # The program declares the user operators, so the reader parses
+        # the clauses after the directives with them.
+        directives = [
+            Struct(":-", (Struct("op", (priority, Atom(kind), Atom(name))),))
+            for priority, kind, name in USER_OPERATORS
+        ]
+        operators = standard_operators()
+        for priority, kind, name in USER_OPERATORS:
+            operators.add(priority, kind, name)
+        program = directives + clauses
+        text = program_to_string(program, operators)
+        reread = parse_terms(text)
+        assert [variant_key(t) for t in reread] == [
+            variant_key(t) for t in program
+        ], text
+
+
+# -- compiled head unification vs the general unifier --------------------------
+
+#: Head arguments: atoms, numbers (``1`` against ``1.0``), compounds and
+#: variables that may repeat.
+head_leaves = st.sampled_from([Atom("a"), Atom("b"), Atom("[]"), 1, 1.0, 2])
+
+
+@st.composite
+def head_and_goal(draw):
+    """A clause head, and goal arguments: free variables, bound variable
+    chains, atoms, numbers and compounds."""
+    head_pool = [Var("A"), Var("B")]
+
+    def head_arg(depth):
+        kind = draw(st.integers(min_value=0, max_value=2 if depth < 2 else 1))
+        if kind == 0:
+            return draw(head_leaves)
+        if kind == 1:
+            return head_pool[draw(st.integers(min_value=0, max_value=1))]
+        arity = draw(st.integers(min_value=1, max_value=2))
+        return Struct("g", tuple(head_arg(depth + 1) for _ in range(arity)))
+
+    goal_pool = [Var("P"), Var("Q"), Var("R")]
+
+    def goal_arg(depth):
+        kind = draw(st.integers(min_value=0, max_value=3 if depth < 2 else 2))
+        if kind == 0:
+            return draw(head_leaves)
+        if kind == 1:
+            return goal_pool[draw(st.integers(min_value=0, max_value=2))]
+        if kind == 2:
+            # A chain of bound variables ending in a leaf or a free one.
+            links = draw(st.integers(min_value=1, max_value=3))
+            end = goal_arg(2) if draw(st.booleans()) else Var("E")
+            for _ in range(links):
+                link = Var("L")
+                link.ref = end
+                end = link
+            return end
+        arity = draw(st.integers(min_value=1, max_value=2))
+        return Struct("g", tuple(goal_arg(depth + 1) for _ in range(arity)))
+
+    arity = draw(st.integers(min_value=1, max_value=4))
+    head = Struct("p", tuple(head_arg(0) for _ in range(arity)))
+    goal_args = tuple(goal_arg(0) for _ in range(arity))
+    return head, goal_args, goal_pool
+
+
+class TestUnifyHeadDifferential:
+    @given(head_and_goal())
+    @settings(max_examples=400)
+    def test_unify_head_agrees_with_unify(self, case):
+        head, goal_args, pool = case
+        # The goal variables' values after each attempt, as variant keys
+        # (the two attempts bind them to different head variables).
+        watched = Struct("s", tuple(pool) + goal_args)
+        free = term_variables(watched)
+        trail = Trail()
+        # The occurs check keeps the bindings acyclic, so they have keys.
+        clause = CompiledClause(head, Atom("true"))
+        frame = clause.unify_head(goal_args, trail, occurs_check=True)
+        compiled = None if frame is None else variant_key(watched)
+        trail.undo_to(0)
+        # Every binding the attempt made was trailed.
+        assert all(var.ref is None for var in free)
+        succeeded = unify(
+            Struct("p", goal_args), copy_term(head), trail, occurs_check=True
+        )
+        plain = variant_key(watched) if succeeded else None
+        trail.undo_to(0)
+        assert (frame is not None) == succeeded
+        assert compiled == plain
 
 
 # -- reader robustness ---------------------------------------------------------------

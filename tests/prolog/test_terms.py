@@ -1,5 +1,10 @@
 """Unit tests for the term representation."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.prolog.terms import (
@@ -40,6 +45,34 @@ class TestAtom:
 
     def test_empty_name_allowed(self):
         assert Atom("").name == ""
+
+    def test_never_equals_its_name(self):
+        assert Atom("a") != "a"
+        assert "a" != Atom("a")
+
+    def test_hash_is_identity(self):
+        assert hash(Atom("a")) == object.__hash__(Atom("a"))
+
+    def test_pickled_container_finds_atoms(self):
+        data = pickle.loads(pickle.dumps({Atom("a"): 1, "s": {Atom("b")}}))
+        assert data[Atom("a")] == 1
+        assert Atom("b") in data["s"]
+
+    def test_pickled_container_finds_atoms_in_another_process(self):
+        # The receiving process interns the atoms afresh, at addresses
+        # (and so identity hashes) of its own.
+        payload = pickle.dumps({Atom("a"): 1, "s": {Atom("b")}})
+        script = (
+            "import pickle, sys\n"
+            "from repro.prolog.terms import Atom\n"
+            "data = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert data[Atom('a')] == 1 and Atom('b') in data['s']\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        subprocess.run(
+            [sys.executable, "-c", script], input=payload, env=env, check=True
+        )
 
 
 class TestVar:

@@ -18,7 +18,7 @@ from repro.errors import BudgetExceededError, DepthLimitExceeded, ExistenceError
 from repro.observability import attach
 from repro.observability.streaming import StreamingRecorder, attach_recorder
 from repro.programs import REGISTRY, corporate, family_tree
-from repro.prolog import Engine, Struct, Var
+from repro.prolog import Database, Engine, Struct, Var
 from repro.prolog.compile import (
     VM_BUILTIN,
     VM_CALL,
@@ -257,6 +257,38 @@ class TestBudgetsOnVmPath:
         # The abort unwound the trail; the engine stays usable.
         assert engine.trail.mark() == 0
         assert len(engine.ask(query)) >= 1
+
+    @pytest.mark.parametrize(
+        "facts, bodies, query",
+        [
+            # Deterministic: one candidate per call.
+            ("p(a).", "p(a) :- a == a.", "p(a), p(a), p(a)"),
+            # Alternatives left on entry, facts reached by retries.
+            ("p(a). p(b). p(c).", "p(a) :- a == a. p(b) :- b == b. p(c) :- c == c.",
+             "p(X), p(Y), X == c, Y == b"),
+            # A bound first argument: retries walk a scan plan (the
+            # database is unindexed, so the index cannot narrow).
+            ("q(a, 1). q(b, 2). q(a, 3).",
+             "q(a, 1) :- a == a. q(b, 2) :- b == b. q(a, 3) :- a == a.",
+             "q(a, X), X == 3"),
+        ],
+    )
+    def test_fact_charges_its_proceed_step(self, facts, bodies, query):
+        # A fact resumes its continuation without a PROCEED round but
+        # still charges that round's step, so each clause entry costs
+        # exactly one step less than entering a one-op clause body.
+        steps, entries = {}, {}
+        for name, source in (("facts", facts), ("bodies", bodies)):
+            database = Database.from_source(
+                source + f"\nrun :- {query}.", indexing=False
+            )
+            engine = Engine(database)
+            budget = Budget(steps=1000)
+            assert len(engine.ask("run", budget=budget)) == 1
+            steps[name] = budget.steps
+            entries[name] = engine.metrics.clause_entries
+        assert entries["facts"] == entries["bodies"]
+        assert steps["facts"] == steps["bodies"] - (entries["bodies"] - 1)
 
     def test_call_budget_trips_inside_machine(self):
         engine = Engine.from_source(COUNTDOWN, max_depth=5000)
