@@ -13,45 +13,19 @@ was *attempted and failed* (a sample errored or blew the call budget),
 so the pair is not pointlessly re-measured until an edit invalidates
 it. Use :meth:`lookup` to distinguish "measured, failed" from "never
 measured".
-
-Beside the measured entries the store keeps a second, *observed* tier
-fed continuously from runtime telemetry (:meth:`observe`): EWMA-decayed
-statistics keyed by the database's per-predicate generation watermarks,
-so stale observations from before an edit never blend into fresh ones.
-:meth:`adopt_observed` promotes well-supported observations into the
-measured tier, which the reorder pipeline's calibration serves as
-cache hits — the literal live feed from running programs back into the
-cost model (paper §VIII).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .goal_stats import GoalStats
 
-__all__ = ["ObservedStats", "StatsStore"]
+__all__ = ["StatsStore"]
 
 Indicator = Tuple[str, int]
 #: (indicator, mode) — the calibration unit.
 StatsKey = Tuple[Indicator, tuple]
-
-
-@dataclass
-class ObservedStats:
-    """One EWMA-blended runtime observation of a calibration pair.
-
-    ``weight`` is the total sampled-box support behind the blend;
-    ``mark`` the database generation watermark of the predicate when
-    the most recent observation arrived (observations from older marks
-    are discarded rather than blended — the predicate changed under
-    them).
-    """
-
-    stats: GoalStats
-    weight: float
-    mark: int
 
 
 class StatsStore:
@@ -60,7 +34,6 @@ class StatsStore:
 
     def __init__(self) -> None:
         self._entries: Dict[StatsKey, Optional[GoalStats]] = {}
-        self._observed: Dict[StatsKey, ObservedStats] = {}
 
     def lookup(self, key: StatsKey) -> Tuple[bool, Optional[GoalStats]]:
         """``(known, stats)`` — ``known`` is False when the pair was
@@ -73,84 +46,20 @@ class StatsStore:
         """Record one measurement result (None = measurement failed)."""
         self._entries[key] = stats
 
-    def observe(
-        self,
-        key: StatsKey,
-        stats: GoalStats,
-        weight: float = 1.0,
-        mark: int = 0,
-        decay: float = 0.3,
-    ) -> ObservedStats:
-        """Fold one runtime observation into the observed tier.
-
-        ``weight`` is the sampled-box support behind ``stats`` (more
-        support pulls the EWMA harder: the effective blend factor is
-        ``1 - (1 - decay) ** weight``). ``mark`` is the predicate's
-        generation watermark: a newer mark *replaces* the stored blend
-        (the predicate was edited, old behaviour is void), an older
-        mark is ignored, an equal mark blends.
-        """
-        stored = self._observed.get(key)
-        if stored is None or mark > stored.mark:
-            blended = ObservedStats(stats=stats, weight=weight, mark=mark)
-            self._observed[key] = blended
-            return blended
-        if mark < stored.mark:
-            return stored
-        alpha = 1.0 - (1.0 - min(max(decay, 0.0), 1.0)) ** max(weight, 0.0)
-        old = stored.stats
-        blended_stats = GoalStats(
-            cost=old.cost + alpha * (stats.cost - old.cost),
-            solutions=old.solutions + alpha * (stats.solutions - old.solutions),
-            prob=min(1.0, max(0.0, old.prob + alpha * (stats.prob - old.prob))),
-        )
-        blended = ObservedStats(
-            stats=blended_stats, weight=stored.weight + weight, mark=mark
-        )
-        self._observed[key] = blended
-        return blended
-
-    def observed(self, key: StatsKey) -> Optional[ObservedStats]:
-        """The observed-tier blend for one pair, if any."""
-        return self._observed.get(key)
-
-    def observed_items(self) -> Iterator[Tuple[StatsKey, ObservedStats]]:
-        """All observed-tier entries, in insertion order."""
-        return iter(self._observed.items())
-
-    def adopt_observed(self, min_weight: float = 1.0) -> List[StatsKey]:
-        """Promote observed blends into the measured tier.
-
-        Only pairs with at least ``min_weight`` support are adopted.
-        Calibration serves measured entries as cache hits, so adopted
-        observations feed straight into the next cost-model build.
-        Returns the adopted keys.
-        """
-        adopted = []
-        for key, observed in self._observed.items():
-            if observed.weight >= min_weight:
-                self._entries[key] = observed.stats
-                adopted.append(key)
-        return adopted
-
     def invalidate(self, indicators: Iterable[Indicator]) -> int:
-        """Drop all entries (measured and observed) of the given
-        predicates; returns the measured-entry count dropped."""
+        """Drop all entries of the given predicates; returns the count
+        dropped."""
         doomed = set(indicators)
         if not doomed:
             return 0
         stale = [key for key in self._entries if key[0] in doomed]
         for key in stale:
             del self._entries[key]
-        stale_observed = [key for key in self._observed if key[0] in doomed]
-        for key in stale_observed:
-            del self._observed[key]
         return len(stale)
 
     def clear(self) -> None:
-        """Drop every entry, measured and observed."""
+        """Drop every entry."""
         self._entries.clear()
-        self._observed.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

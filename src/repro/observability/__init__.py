@@ -6,10 +6,10 @@ All optional and zero-overhead when unused:
   :class:`~.streaming.recorder.StreamingRecorder` (sampled for
   always-on use, ``sample_every=1`` for exhaustive profiling) whose
   Byrd boxes feed mergeable per-(predicate, mode) aggregates, drift
-  monitoring and Perfetto export;
+  reports and Perfetto export;
 * :mod:`.events` — a typed bus for the low-rate structural events
-  (index lookups, tables, strata, caches, budgets, faults, drift,
-  server requests);
+  (index lookups, tables, strata, caches, budgets, faults, server
+  requests);
 * :mod:`.spans`  — accumulating wall-clock timers over the ten
   reordering-pipeline phases;
 * :mod:`.drift`  — predicted-vs-observed statistics per (predicate,
@@ -20,16 +20,13 @@ All optional and zero-overhead when unused:
 ``repro profile FILE QUERY --json out.jsonl`` drives everything from
 the command line; docs/OBSERVABILITY.md documents the record schema.
 
-Note: :mod:`.drift` and :mod:`.streaming.monitor` are intentionally
-not imported here — they depend on the engine/model layers, which
-themselves import :mod:`.events`; import them as
-``from repro.observability.drift import DriftReporter`` and
-``from repro.observability.streaming.monitor import DriftMonitor``.
+Note: :mod:`.drift` is intentionally not imported here — it depends on
+the engine/model layers, which themselves import :mod:`.events`; import
+it as ``from repro.observability.drift import DriftReporter``.
 """
 
 from .events import (
     CacheEvent,
-    DriftEvent,
     Event,
     EventBus,
     IndexEvent,
@@ -57,7 +54,6 @@ __all__ = [
     "IndexEvent",
     "TableEvent",
     "CacheEvent",
-    "DriftEvent",
     "attach",
     "detach",
     "PIPELINE_PHASES",

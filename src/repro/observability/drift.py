@@ -69,11 +69,9 @@ def compare_estimates(
     """Score one observed-vs-predicted pair against drift thresholds.
 
     Returns ``(cost_ratio, prob_delta, reasons)`` — ``reasons`` is
-    nonempty exactly when the pair counts as drifted. Shared by the
-    post-hoc :class:`DriftReporter` and the continuous
-    :class:`~repro.observability.streaming.monitor.DriftMonitor`, so
-    both surfaces flag identically. A ``predicted`` of None means the
-    model never enumerated this mode — always flagged.
+    nonempty exactly when the pair counts as drifted. A ``predicted``
+    of None means the model never enumerated this mode — always
+    flagged.
     """
     if predicted is None:
         return None, None, ["mode observed at runtime but illegal for the model"]
@@ -99,8 +97,6 @@ class DriftOptions:
     cost_factor: float = 3.0
     #: Flag when |predicted - observed| success probability exceeds this.
     prob_tolerance: float = 0.25
-    #: Ignore predicates observed fewer times than this.
-    min_invocations: int = 1
 
 
 @dataclass
@@ -192,8 +188,6 @@ class DriftReporter:
         for (indicator, mode_text), observed in aggregates.items():
             if not self.database.defines(indicator):
                 continue  # builtins: not calibration targets
-            if observed.boxes < self.options.min_invocations:
-                continue
             records.append(self._compare(indicator, mode_text, observed))
         records.sort(
             key=lambda r: (not r.flagged, -r.observed.mean_cost, r.indicator)

@@ -40,7 +40,6 @@ __all__ = [
     "BudgetEvent",
     "DegradedEvent",
     "FaultEvent",
-    "DriftEvent",
     "RequestEvent",
     "EventBus",
     "attach",
@@ -212,39 +211,6 @@ class FaultEvent(Event):
 
     site: str
     action: str
-
-
-@dataclass
-class DriftEvent(Event):
-    """A (predicate, mode) crossed the drift threshold while being
-    watched continuously.
-
-    Emitted by the streaming
-    :class:`~repro.observability.streaming.monitor.DriftMonitor` when
-    the observed/predicted cost ratio or success-probability delta
-    leaves the configured band (the same thresholds as the post-hoc
-    drift reporter). ``scc`` names the predicate's whole recursion
-    component as ``name/arity`` strings so the incremental pipeline can
-    rebuild exactly the affected group; ``mark`` is the database's
-    generation watermark for the predicate at emission time.
-    """
-
-    kind = "drift"
-
-    indicator: Indicator
-    mode: str
-    cost_ratio: Optional[float]
-    prob_delta: Optional[float]
-    reasons: List[str]
-    scc: Tuple[str, ...]
-    mark: int
-
-    def to_record(self) -> Dict[str, object]:
-        """The event as one flat JSONL-ready dict (lists stay JSON-native)."""
-        record = super().to_record()
-        record["reasons"] = list(self.reasons)
-        record["scc"] = list(self.scc)
-        return record
 
 
 @dataclass

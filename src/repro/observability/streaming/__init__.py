@@ -11,19 +11,10 @@ Byrd boxes reads from it:
 * :mod:`.recorder`  — the engine hook (``engine.recorder``): 1-in-N
   plus rare-predicate sampling (or every box), exact call counts, no
   event objects on the hot path;
-* :mod:`.monitor`   — the continuous :class:`DriftMonitor` feeding
-  observed statistics into the stats store and emitting
-  ``DriftEvent`` s naming the drifted SCCs;
 * :mod:`.perfetto`  — Chrome/Perfetto trace-event export.
 
-Note: :mod:`.monitor` is intentionally not imported here — it depends
-on the model and engine layers, which themselves import
-:mod:`repro.observability.events` (whose package import would recurse
-back into this one); import it as
-``from repro.observability.streaming.monitor import DriftMonitor``,
-the same convention as :mod:`repro.observability.drift`.
-:mod:`.perfetto` is likewise import-from-module
-(``from repro.observability.streaming.perfetto import write_trace``).
+Note: :mod:`.perfetto` is intentionally not imported here; import it
+as ``from repro.observability.streaming.perfetto import write_trace``.
 """
 
 from .aggregate import LogHistogram, ModeAggregate, StreamAggregates

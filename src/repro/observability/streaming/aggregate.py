@@ -17,12 +17,7 @@ task-order merge, exactly like the calibrator's measurement results.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
-
-if TYPE_CHECKING:  # import-time cycle guard: markov -> analysis ->
-    # calibration imports this package, so GoalStats is only imported
-    # lazily inside as_goal_stats() at runtime.
-    from ...markov.goal_stats import GoalStats
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["LogHistogram", "ModeAggregate", "StreamAggregates"]
 
@@ -209,16 +204,6 @@ class ModeAggregate:
     def success_rate(self) -> float:
         """Fraction of boxes that exited at least once (the model's ``p``)."""
         return self.successes / self.boxes if self.boxes else 0.0
-
-    def as_goal_stats(self) -> "GoalStats":
-        """The aggregate in the cost model's own vocabulary."""
-        from ...markov.goal_stats import GoalStats
-
-        return GoalStats(
-            cost=max(self.mean_cost, 0.0),
-            solutions=max(self.mean_solutions, 0.0),
-            prob=min(1.0, max(0.0, self.success_rate)),
-        )
 
     def __add__(self, other: "ModeAggregate") -> "ModeAggregate":
         """Order-independent merge of two aggregates."""

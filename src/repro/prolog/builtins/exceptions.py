@@ -4,10 +4,11 @@
 Recovery)`` runs Goal and, when a ball (or a catchable engine error,
 rendered as ``error(Kind, Message)``) unifies with Catcher, undoes
 Goal's bindings and runs Recovery. Safety-bound overruns
-(:class:`~repro.errors.DepthLimitExceeded`,
-:class:`~repro.errors.CallBudgetExceeded`) are deliberately *not*
-catchable: they exist to stop runaway executions, and a program
-catching them could loop forever.
+(:class:`~repro.errors.DepthLimitExceeded` and the whole
+:class:`~repro.errors.BudgetExceededError` family: call and step caps,
+deadlines, cancellation) are deliberately *not* catchable: they exist
+to stop runaway executions, and a program catching them could loop
+forever or report a timed-out query as answered.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ...errors import (
-    CallBudgetExceeded,
+    BudgetExceededError,
     DepthLimitExceeded,
     InstantiationError,
     PrologError,
@@ -60,7 +61,7 @@ def _catch(engine, args, depth, frame) -> Iterator[None]:
     try:
         yield from engine.solve_goal(goal, depth, engine.new_frame())
         return
-    except (DepthLimitExceeded, CallBudgetExceeded):
+    except (DepthLimitExceeded, BudgetExceededError):
         raise  # safety bounds stay uncatchable
     except PrologThrow as thrown:
         ball = thrown.ball

@@ -168,16 +168,3 @@ class Metrics:
                 for (name, arity), count in sorted(self.calls_by_predicate.items())
             },
         }
-
-    def __str__(self) -> str:
-        return (
-            f"calls={self.calls} unifications={self.unifications} "
-            f"entries={self.clause_entries} backtracks={self.backtracks}"
-            + (
-                f" table_hits={self.table_hits} table_misses={self.table_misses}"
-                f" table_answers={self.table_answers}"
-                f" tables_completed={self.tables_completed}"
-                if self.table_hits or self.table_misses
-                else ""
-            )
-        )

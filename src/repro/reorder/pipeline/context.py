@@ -262,36 +262,6 @@ class AnalysisContext:
         self.last_affected = frozenset(affected)
         return self
 
-    def apply_drift(self, drifted) -> set:
-        """Invalidate the caches of runtime-drifted predicates.
-
-        ``drifted`` is an iterable of indicators — typically
-        :meth:`DriftMonitor.drifted_predicates()
-        <repro.observability.streaming.monitor.DriftMonitor.drifted_predicates>`
-        or the ``scc`` members of emitted ``DriftEvent`` s. The set is
-        widened to the same invalidation closure an *edit* to those
-        predicates would trigger (SCC plus transitive callers), the
-        affected cached builds and calibrated measurements are dropped,
-        and the closure is returned — so the next :meth:`refresh` +
-        reorder rebuilds exactly the drifted groups against fresh
-        observed statistics while everything else replays from cache.
-        """
-        dirty = set(drifted)
-        if not dirty:
-            return set()
-        callgraph = self.callgraph or CallGraph(self.database)
-        affected = affected_predicates(callgraph, dirty)
-        for indicator in affected:
-            self._builds.pop(indicator, None)
-        self.calibrated.invalidate(affected)
-        # Force the next refresh to rebuild the cost model against the
-        # thinned measurement store even if the program text (and the
-        # options) did not move.
-        self.model = None
-        self.last_dirty = frozenset(dirty)
-        self.last_affected = frozenset(affected)
-        return affected
-
     # -- per-predicate builds ---------------------------------------------
 
     def build_for(self, indicator: Indicator) -> Optional[CachedPredicateBuild]:

@@ -149,14 +149,6 @@ class TestModeAggregate:
         assert aggregate.mean_solutions == 1.0
         assert aggregate.success_rate == 0.5
 
-    def test_as_goal_stats(self):
-        aggregate = ModeAggregate()
-        aggregate.record(cost=7, solutions=2, seconds=0.0)
-        stats = aggregate.as_goal_stats()
-        assert stats.cost == 7.0
-        assert stats.solutions == 2.0
-        assert stats.prob == 1.0
-
     def test_merge_and_payload_round_trip(self):
         left, right = ModeAggregate(), ModeAggregate()
         left.record(1, 1, 0.001)

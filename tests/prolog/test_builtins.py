@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.callgraph import CallGraph
+from repro.analysis.fixity import FixityAnalysis, side_effect_builtins
 from repro.errors import (
     ArithmeticErrorProlog,
     InstantiationError,
@@ -236,6 +238,29 @@ class TestIO:
 
     def test_read_empty_gives_end_of_file(self):
         assert one(engine(), "read(X)", "X") == "end_of_file"
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["vm", "interpreter"])
+class TestGet0:
+    def test_reads_queued_codes_in_order_then_end_of_file(self, compiled):
+        eng = engine(compiled=compiled)
+        eng.input_terms.extend([104, 105])
+        (solution,) = eng.ask("get0(A), get0(B), get0(C)")
+        assert [solution[name] for name in "ABC"] == [104, 105, -1]
+        assert not eng.input_terms
+
+    def test_bound_argument_consumes_the_code(self, compiled):
+        eng = engine(compiled=compiled)
+        eng.input_terms.extend([104, 105])
+        assert not eng.succeeds("get0(105)")
+        assert one(eng, "get0(X)", "X") == "105"
+
+
+def test_get0_is_fixed_for_the_reorderer():
+    database = engine("next(C) :- get0(C).").database
+    analysis = FixityAnalysis(database, CallGraph(database))
+    assert ("get0", 1) in side_effect_builtins()
+    assert analysis.is_fixed(("next", 1))
 
 
 class TestMetaCall:

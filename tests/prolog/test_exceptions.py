@@ -1,14 +1,20 @@
 """Tests for throw/1 and catch/3."""
 
+import threading
+
 import pytest
 
 from repro.errors import (
+    BudgetExceededError,
     CallBudgetExceeded,
+    DeadlineExceeded,
     DepthLimitExceeded,
     InstantiationError,
     PrologThrow,
+    QueryCancelled,
 )
 from repro.prolog import Engine
+from repro.robustness import Budget, CancelToken
 
 
 def engine(source="", **kwargs):
@@ -109,3 +115,42 @@ class TestSafetyBoundsStayUncatchable:
         eng = engine("f(1). g :- f(_), g.", call_budget=50, max_depth=20)
         with pytest.raises((CallBudgetExceeded, DepthLimitExceeded)):
             eng.succeeds("catch(g, _, true)")
+
+
+#: A goal that would run for minutes: only a budget stops it.
+LOOP = "loop :- between(1, 100000000, X), X < 0."
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["vm", "interpreter"])
+class TestBudgetExhaustionStaysUncatchable:
+    """Every ``BudgetExceededError`` passes through ``catch/3``: a
+    catch-all must not turn a timed-out query into an answered one."""
+
+    def ask(self, compiled, budget):
+        return engine(LOOP, compiled=compiled).ask(
+            "catch(loop, E, true)", budget=budget
+        )
+
+    def test_deadline(self, compiled):
+        with pytest.raises(DeadlineExceeded):
+            self.ask(compiled, Budget(deadline=0.05))
+
+    def test_step_cap(self, compiled):
+        with pytest.raises(BudgetExceededError, match="step budget of 1000"):
+            self.ask(compiled, Budget(steps=1000))
+
+    def test_call_cap(self, compiled):
+        with pytest.raises(BudgetExceededError, match="call budget of 2"):
+            engine("loop :- g, loop. g.", compiled=compiled).ask(
+                "catch(loop, E, true)", budget=Budget(calls=2)
+            )
+
+    def test_cancellation(self, compiled):
+        token = CancelToken()
+        timer = threading.Timer(0.05, token.cancel, args=("stop",))
+        timer.start()
+        try:
+            with pytest.raises(QueryCancelled, match="stop"):
+                self.ask(compiled, Budget(token=token))
+        finally:
+            timer.cancel()

@@ -54,6 +54,12 @@ class TestQueryPath:
         assert response["status"] == "timeout"
         assert elapsed < 5.0
 
+    def test_caught_deadline_is_still_a_timeout_response(self, server_factory):
+        thread = server_factory(drain_timeout=0.5)
+        with ServeClient(thread.server.address) as client:
+            response = client.query("catch(slow, _, true)", timeout=0.3)
+        assert response["status"] == "timeout"
+
     def test_bad_field_types_are_rejected(self, server_factory):
         with ServeClient(server_factory().server.address) as client:
             assert client.query("anc(a, X)", timeout=-1)["status"] == "error"
