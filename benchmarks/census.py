@@ -15,6 +15,7 @@ Usage::
 Run it from the repository root. Extra arguments go to pytest (default:
 the configured ``testpaths``). The profiler makes the suite about 2.5x
 slower: some five minutes on 2 vCPUs, where timing-bound tests may fail.
+The report ends with the node id of every failed or errored test.
 """
 
 from __future__ import annotations
@@ -41,11 +42,26 @@ def _install():
     threading.setprofile(_hook)
 
 
-class _Reinstall:
-    """A ``RecursionError`` inside the hook unsets it: rearm per test."""
+class _Plugin:
+    """Rearms the hook per test (a ``RecursionError`` inside it unsets
+    it) and collects the node ids of failed and errored tests."""
+
+    def __init__(self):
+        self.failed = []
 
     def pytest_runtest_setup(self, item):
         _install()
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.failed.append(
+                report.nodeid if report.when == "call"
+                else f"{report.nodeid} ({report.when} error)"
+            )
+
+    def pytest_collectreport(self, report):
+        if report.failed:
+            self.failed.append(f"{report.nodeid} (collection error)")
 
 
 def defined_functions(root=SRC):
@@ -79,10 +95,11 @@ def main(argv=None) -> int:
     args, pytest_args = parser.parse_known_args(argv)
     import pytest
 
+    plugin = _Plugin()
     _install()
     try:
         status = pytest.main(
-            ["-q", "-p", "no:cacheprovider", *pytest_args], plugins=[_Reinstall()]
+            ["-q", "-p", "no:cacheprovider", *pytest_args], plugins=[plugin]
         )
     finally:
         sys.setprofile(None)
@@ -106,6 +123,10 @@ def main(argv=None) -> int:
         f"unreached: {len(entries)} functions, {total} lines"
         f" (pytest exit {int(status)})"
     )
+    # Profiler timeouts fail tests too: name every failure, so a real
+    # one is not mistaken for one of them.
+    report.append(f"failed or errored tests: {len(plugin.failed)}")
+    report.extend(f"  {nodeid}" for nodeid in plugin.failed)
     text = "\n".join(report) + "\n"
     if args.out:
         with open(args.out, "w") as handle:

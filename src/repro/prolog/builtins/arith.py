@@ -11,7 +11,7 @@ does not affect any reproduced number.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, Union
+from typing import Callable, Dict, Union
 
 from ...errors import ArithmeticErrorProlog, InstantiationError, TypeErrorProlog
 from ..terms import Atom, Struct, Term, Var, deref, is_number
@@ -133,46 +133,57 @@ def evaluate(term: Term) -> Number:
     raise TypeErrorProlog("evaluable", term)
 
 
-@builtin("is", 2)
-def _is(engine, args, depth, frame) -> Iterator[None]:
-    """``Result is Expression`` — evaluate and unify."""
-    value = evaluate(args[1])
-    mark = engine.trail.mark()
-    if unify(args[0], value, engine.trail):
-        yield
-    engine.trail.undo_to(mark)
+@builtin("is", 2, det=True)
+def _is(engine, args) -> bool:
+    """``Result is Expression`` — evaluate and unify. Unifying with a
+    number binds at most one variable, and only on success."""
+    return unify(args[0], evaluate(args[1]), engine.trail)
 
 
-def _comparison(name: str, test: Callable[[Number, Number], bool]) -> None:
-    @builtin(name, 2)
-    def _compare(engine, args, depth, frame, _test=test) -> Iterator[None]:
-        if _test(evaluate(args[0]), evaluate(args[1])):
-            yield
-
-    _compare.__doc__ = f"Arithmetic comparison ``X {name} Y``."
+@builtin("=:=", 2, det=True)
+def _eq_num(engine, args) -> bool:
+    """Arithmetic comparison ``X =:= Y``."""
+    return evaluate(args[0]) == evaluate(args[1])
 
 
-_comparison("=:=", lambda a, b: a == b)
-_comparison("=\\=", lambda a, b: a != b)
-_comparison("<", lambda a, b: a < b)
-_comparison(">", lambda a, b: a > b)
-_comparison("=<", lambda a, b: a <= b)
-_comparison(">=", lambda a, b: a >= b)
+@builtin("=\\=", 2, det=True)
+def _ne_num(engine, args) -> bool:
+    """Arithmetic comparison ``X =\\= Y``."""
+    return evaluate(args[0]) != evaluate(args[1])
 
 
-@builtin("succ", 2)
-def _succ(engine, args, depth, frame) -> Iterator[None]:
+@builtin("<", 2, det=True)
+def _lt(engine, args) -> bool:
+    """Arithmetic comparison ``X < Y``."""
+    return evaluate(args[0]) < evaluate(args[1])
+
+
+@builtin(">", 2, det=True)
+def _gt(engine, args) -> bool:
+    """Arithmetic comparison ``X > Y``."""
+    return evaluate(args[0]) > evaluate(args[1])
+
+
+@builtin("=<", 2, det=True)
+def _le(engine, args) -> bool:
+    """Arithmetic comparison ``X =< Y``."""
+    return evaluate(args[0]) <= evaluate(args[1])
+
+
+@builtin(">=", 2, det=True)
+def _ge(engine, args) -> bool:
+    """Arithmetic comparison ``X >= Y``."""
+    return evaluate(args[0]) >= evaluate(args[1])
+
+
+@builtin("succ", 2, det=True)
+def _succ(engine, args) -> bool:
     """``succ(X, Y)``: Y = X + 1; works in both directions."""
     first, second = deref(args[0]), deref(args[1])
-    mark = engine.trail.mark()
     if isinstance(first, int):
         if first < 0:
             raise TypeErrorProlog("non-negative integer", first)
-        if unify(second, first + 1, engine.trail):
-            yield
-    elif isinstance(second, int):
-        if second > 0 and unify(first, second - 1, engine.trail):
-            yield
-    else:
-        raise InstantiationError("succ/2: both arguments unbound")
-    engine.trail.undo_to(mark)
+        return unify(second, first + 1, engine.trail)
+    if isinstance(second, int):
+        return second > 0 and unify(first, second - 1, engine.trail)
+    raise InstantiationError("succ/2: both arguments unbound")

@@ -7,7 +7,7 @@ the standard order of terms.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 from ...errors import InstantiationError, TypeErrorProlog
 from ..terms import (
@@ -22,7 +22,7 @@ from ..terms import (
     term_ordering_key,
 )
 from ..unify import unify
-from . import builtin
+from . import builtin, unify_or_undo
 
 
 def _codes_to_text(term: Term, what: str) -> str:
@@ -43,36 +43,28 @@ def _text_to_codes(text: str) -> Term:
     return make_list([ord(c) for c in text])
 
 
-@builtin("atom_codes", 2)
-def _atom_codes(engine, args, depth, frame) -> Iterator[None]:
+@builtin("atom_codes", 2, det=True)
+def _atom_codes(engine, args) -> bool:
     """``atom_codes(Atom, Codes)`` — both directions."""
     first = deref(args[0])
-    mark = engine.trail.mark()
     if isinstance(first, Atom):
-        if unify(args[1], _text_to_codes(first.name), engine.trail):
-            yield
-    elif is_number(first):
-        if unify(args[1], _text_to_codes(str(first)), engine.trail):
-            yield
-    elif isinstance(first, Var):
+        return unify_or_undo(engine, args[1], _text_to_codes(first.name))
+    if is_number(first):
+        return unify_or_undo(engine, args[1], _text_to_codes(str(first)))
+    if isinstance(first, Var):
         text = _codes_to_text(args[1], "atom_codes/2")
-        if unify(first, Atom(text), engine.trail):
-            yield
-    else:
-        raise TypeErrorProlog("atom", first)
-    engine.trail.undo_to(mark)
+        return unify(first, Atom(text), engine.trail)
+    raise TypeErrorProlog("atom", first)
 
 
-@builtin("number_codes", 2)
-def _number_codes(engine, args, depth, frame) -> Iterator[None]:
+@builtin("number_codes", 2, det=True)
+def _number_codes(engine, args) -> bool:
     """``number_codes(Number, Codes)`` — both directions."""
     first = deref(args[0])
-    mark = engine.trail.mark()
     if is_number(first):
         text = repr(first) if isinstance(first, float) else str(first)
-        if unify(args[1], _text_to_codes(text), engine.trail):
-            yield
-    elif isinstance(first, Var):
+        return unify_or_undo(engine, args[1], _text_to_codes(text))
+    if isinstance(first, Var):
         text = _codes_to_text(args[1], "number_codes/2")
         try:
             value: Term = int(text)
@@ -81,18 +73,14 @@ def _number_codes(engine, args, depth, frame) -> Iterator[None]:
                 value = float(text)
             except ValueError:
                 raise TypeErrorProlog("number text", text)
-        if unify(first, value, engine.trail):
-            yield
-    else:
-        raise TypeErrorProlog("number", first)
-    engine.trail.undo_to(mark)
+        return unify(first, value, engine.trail)
+    raise TypeErrorProlog("number", first)
 
 
-@builtin("name", 2)
-def _name(engine, args, depth, frame) -> Iterator[None]:
+@builtin("name", 2, det=True)
+def _name(engine, args) -> bool:
     """``name(AtomOrNumber, Codes)`` — DEC-10: numbers parse as numbers."""
     first = deref(args[0])
-    mark = engine.trail.mark()
     if isinstance(first, Var):
         text = _codes_to_text(args[1], "name/2")
         value: Term
@@ -103,32 +91,25 @@ def _name(engine, args, depth, frame) -> Iterator[None]:
                 value = float(text)
             except ValueError:
                 value = Atom(text)
-        if unify(first, value, engine.trail):
-            yield
+        return unify(first, value, engine.trail)
+    if isinstance(first, Atom):
+        text = first.name
+    elif is_number(first):
+        text = repr(first) if isinstance(first, float) else str(first)
     else:
-        if isinstance(first, Atom):
-            text = first.name
-        elif is_number(first):
-            text = repr(first) if isinstance(first, float) else str(first)
-        else:
-            raise TypeErrorProlog("atomic", first)
-        if unify(args[1], _text_to_codes(text), engine.trail):
-            yield
-    engine.trail.undo_to(mark)
+        raise TypeErrorProlog("atomic", first)
+    return unify_or_undo(engine, args[1], _text_to_codes(text))
 
 
-@builtin("atom_length", 2)
-def _atom_length(engine, args, depth, frame) -> Iterator[None]:
+@builtin("atom_length", 2, det=True)
+def _atom_length(engine, args) -> bool:
     """``atom_length(Atom, Length)``."""
     first = deref(args[0])
     if isinstance(first, Var):
         raise InstantiationError("atom_length/2: first argument unbound")
     if not isinstance(first, Atom):
         raise TypeErrorProlog("atom", first)
-    mark = engine.trail.mark()
-    if unify(args[1], len(first.name), engine.trail):
-        yield
-    engine.trail.undo_to(mark)
+    return unify(args[1], len(first.name), engine.trail)
 
 
 def _sorted_items(term: Term, what: str) -> List[Term]:
@@ -138,19 +119,16 @@ def _sorted_items(term: Term, what: str) -> List[Term]:
         raise InstantiationError(f"{what}: list insufficiently instantiated")
 
 
-@builtin("msort", 2)
-def _msort(engine, args, depth, frame) -> Iterator[None]:
+@builtin("msort", 2, det=True)
+def _msort(engine, args) -> bool:
     """``msort(List, Sorted)`` — standard order, duplicates kept."""
     items = _sorted_items(args[0], "msort/2")
     ordered = sorted(items, key=term_ordering_key)
-    mark = engine.trail.mark()
-    if unify(args[1], make_list(ordered), engine.trail):
-        yield
-    engine.trail.undo_to(mark)
+    return unify_or_undo(engine, args[1], make_list(ordered))
 
 
-@builtin("sort", 2)
-def _sort(engine, args, depth, frame) -> Iterator[None]:
+@builtin("sort", 2, det=True)
+def _sort(engine, args) -> bool:
     """``sort(List, Sorted)`` — standard order, duplicates removed."""
     items = _sorted_items(args[0], "sort/2")
     unique: List[Term] = []
@@ -160,14 +138,11 @@ def _sort(engine, args, depth, frame) -> Iterator[None]:
         if key not in seen:
             seen.add(key)
             unique.append(item)
-    mark = engine.trail.mark()
-    if unify(args[1], make_list(unique), engine.trail):
-        yield
-    engine.trail.undo_to(mark)
+    return unify_or_undo(engine, args[1], make_list(unique))
 
 
-@builtin("keysort", 2)
-def _keysort(engine, args, depth, frame) -> Iterator[None]:
+@builtin("keysort", 2, det=True)
+def _keysort(engine, args) -> bool:
     """``keysort(Pairs, Sorted)`` — stable sort of Key-Value pairs."""
     items = _sorted_items(args[0], "keysort/2")
     for item in items:
@@ -175,7 +150,4 @@ def _keysort(engine, args, depth, frame) -> Iterator[None]:
         if not (isinstance(pair, Struct) and pair.indicator == ("-", 2)):
             raise TypeErrorProlog("Key-Value pair", pair)
     ordered = sorted(items, key=lambda p: term_ordering_key(deref(p).args[0]))
-    mark = engine.trail.mark()
-    if unify(args[1], make_list(ordered), engine.trail):
-        yield
-    engine.trail.undo_to(mark)
+    return unify_or_undo(engine, args[1], make_list(ordered))

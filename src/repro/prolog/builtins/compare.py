@@ -2,72 +2,72 @@
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from ..terms import Atom, deref, structural_eq, term_ordering_key
+from ..terms import Atom, structural_eq, term_ordering_key
 from ..unify import unify
 from . import builtin
 
 
-@builtin("=", 2)
-def _unify(engine, args, depth, frame) -> Iterator[None]:
+@builtin("=", 2, det=True)
+def _unify(engine, args) -> bool:
     """``X = Y`` — unification."""
-    mark = engine.trail.mark()
-    if unify(args[0], args[1], engine.trail, occurs_check=engine.occurs_check):
-        yield
-    engine.trail.undo_to(mark)
+    trail = engine.trail
+    mark = trail.mark()
+    if unify(args[0], args[1], trail, occurs_check=engine.occurs_check):
+        return True
+    trail.undo_to(mark)
+    return False
 
 
-@builtin("\\=", 2)
-def _not_unify(engine, args, depth, frame) -> Iterator[None]:
+@builtin("\\=", 2, det=True)
+def _not_unify(engine, args) -> bool:
     """``X \\= Y`` — succeeds when X and Y do not unify (leaves no bindings)."""
-    mark = engine.trail.mark()
-    unified = unify(args[0], args[1], engine.trail, occurs_check=engine.occurs_check)
-    engine.trail.undo_to(mark)
-    if not unified:
-        yield
+    trail = engine.trail
+    mark = trail.mark()
+    unified = unify(args[0], args[1], trail, occurs_check=engine.occurs_check)
+    trail.undo_to(mark)
+    return not unified
 
 
-@builtin("==", 2, semifixed=True)
-def _identical(engine, args, depth, frame) -> Iterator[None]:
+@builtin("==", 2, semifixed=True, det=True)
+def _identical(engine, args) -> bool:
     """``X == Y`` — structural identity, no binding."""
-    if structural_eq(args[0], args[1]):
-        yield
+    return structural_eq(args[0], args[1])
 
 
-@builtin("\\==", 2, semifixed=True)
-def _not_identical(engine, args, depth, frame) -> Iterator[None]:
+@builtin("\\==", 2, semifixed=True, det=True)
+def _not_identical(engine, args) -> bool:
     """``X \\== Y`` — structural difference, no binding."""
-    if not structural_eq(args[0], args[1]):
-        yield
+    return not structural_eq(args[0], args[1])
 
 
-def _order_test(name: str, accept) -> None:
-    @builtin(name, 2, semifixed=True)
-    def _test(engine, args, depth, frame, _accept=accept) -> Iterator[None]:
-        left = term_ordering_key(args[0])
-        right = term_ordering_key(args[1])
-        sign = (left > right) - (left < right)
-        if _accept(sign):
-            yield
-
-    _test.__doc__ = f"Standard-order comparison ``X {name} Y``."
+@builtin("@<", 2, semifixed=True, det=True)
+def _before(engine, args) -> bool:
+    """Standard-order comparison ``X @< Y``."""
+    return term_ordering_key(args[0]) < term_ordering_key(args[1])
 
 
-_order_test("@<", lambda sign: sign < 0)
-_order_test("@>", lambda sign: sign > 0)
-_order_test("@=<", lambda sign: sign <= 0)
-_order_test("@>=", lambda sign: sign >= 0)
+@builtin("@>", 2, semifixed=True, det=True)
+def _after(engine, args) -> bool:
+    """Standard-order comparison ``X @> Y``."""
+    return term_ordering_key(args[0]) > term_ordering_key(args[1])
 
 
-@builtin("compare", 3, semifixed=True)
-def _compare(engine, args, depth, frame) -> Iterator[None]:
+@builtin("@=<", 2, semifixed=True, det=True)
+def _before_eq(engine, args) -> bool:
+    """Standard-order comparison ``X @=< Y``."""
+    return not term_ordering_key(args[0]) > term_ordering_key(args[1])
+
+
+@builtin("@>=", 2, semifixed=True, det=True)
+def _after_eq(engine, args) -> bool:
+    """Standard-order comparison ``X @>= Y``."""
+    return not term_ordering_key(args[0]) < term_ordering_key(args[1])
+
+
+@builtin("compare", 3, semifixed=True, det=True)
+def _compare(engine, args) -> bool:
     """``compare(Order, X, Y)`` — Order is one of ``<``, ``=``, ``>``."""
     left = term_ordering_key(args[1])
     right = term_ordering_key(args[2])
-    sign = (left > right) - (left < right)
-    symbol = Atom("<") if sign < 0 else Atom(">") if sign > 0 else Atom("=")
-    mark = engine.trail.mark()
-    if unify(args[0], symbol, engine.trail):
-        yield
-    engine.trail.undo_to(mark)
+    symbol = Atom("<") if left < right else Atom(">") if left > right else Atom("=")
+    return unify(args[0], symbol, engine.trail)

@@ -10,13 +10,11 @@ the terminal; reading from an empty queue returns ``end_of_file``.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ...errors import TypeErrorProlog
-from ..terms import Atom, deref
-from ..unify import unify
+from ..terms import Atom
 from ..writer import term_to_string
-from . import builtin
+from . import builtin, unify_or_undo
+from .arith import evaluate
 
 
 def _emit(engine, text: str) -> None:
@@ -25,79 +23,69 @@ def _emit(engine, text: str) -> None:
         print(text, end="")
 
 
-@builtin("write", 1, side_effect=True)
-def _write(engine, args, depth, frame) -> Iterator[None]:
+@builtin("write", 1, side_effect=True, det=True)
+def _write(engine, args) -> bool:
     """``write(Term)`` — print Term in operator notation."""
     _emit(engine, term_to_string(args[0]))
-    yield
+    return True
 
 
-@builtin("print", 1, side_effect=True)
-def _print(engine, args, depth, frame) -> Iterator[None]:
+@builtin("print", 1, side_effect=True, det=True)
+def _print(engine, args) -> bool:
     """``print(Term)`` — identical to ``write/1`` here (no portray hook)."""
     _emit(engine, term_to_string(args[0]))
-    yield
+    return True
 
 
-@builtin("writeln", 1, side_effect=True)
-def _writeln(engine, args, depth, frame) -> Iterator[None]:
+@builtin("writeln", 1, side_effect=True, det=True)
+def _writeln(engine, args) -> bool:
     """``writeln(Term)`` — write then newline."""
     _emit(engine, term_to_string(args[0]) + "\n")
-    yield
+    return True
 
 
-@builtin("nl", 0, side_effect=True)
-def _nl(engine, args, depth, frame) -> Iterator[None]:
+@builtin("nl", 0, side_effect=True, det=True)
+def _nl(engine, args) -> bool:
     """``nl`` — write a newline."""
     _emit(engine, "\n")
-    yield
+    return True
 
 
-@builtin("tab", 1, side_effect=True)
-def _tab(engine, args, depth, frame) -> Iterator[None]:
+@builtin("tab", 1, side_effect=True, det=True)
+def _tab(engine, args) -> bool:
     """``tab(N)`` — write N spaces."""
-    from .arith import evaluate
-
     count = evaluate(args[0])
     if not isinstance(count, int) or count < 0:
         raise TypeErrorProlog("non-negative integer", count)
     _emit(engine, " " * count)
-    yield
+    return True
 
 
-@builtin("put", 1, side_effect=True)
-def _put(engine, args, depth, frame) -> Iterator[None]:
+@builtin("put", 1, side_effect=True, det=True)
+def _put(engine, args) -> bool:
     """``put(Code)`` — write the character with the given code."""
-    from .arith import evaluate
-
     code = evaluate(args[0])
     if not isinstance(code, int):
         raise TypeErrorProlog("character code", code)
     _emit(engine, chr(code))
-    yield
+    return True
 
 
-@builtin("read", 1, side_effect=True)
-def _read(engine, args, depth, frame) -> Iterator[None]:
+@builtin("read", 1, side_effect=True, det=True)
+def _read(engine, args) -> bool:
     """``read(Term)`` — pop the next term from the engine's input queue."""
     if engine.input_terms:
         term = engine.input_terms.popleft()
     else:
         term = Atom("end_of_file")
-    mark = engine.trail.mark()
-    if unify(args[0], term, engine.trail):
-        yield
-    engine.trail.undo_to(mark)
+    return unify_or_undo(engine, args[0], term)
 
 
-@builtin("get0", 1, side_effect=True)
-def _get0(engine, args, depth, frame) -> Iterator[None]:
+@builtin("get0", 1, side_effect=True, det=True)
+def _get0(engine, args) -> bool:
     """``get0(Code)`` — pop one character code from the input queue."""
     if engine.input_terms:
         term = engine.input_terms.popleft()
     else:
         term = -1
-    mark = engine.trail.mark()
-    if unify(args[0], term, engine.trail):
-        yield
-    engine.trail.undo_to(mark)
+    return unify_or_undo(engine, args[0], term)

@@ -19,31 +19,29 @@ from ..terms import (
     Var,
     copy_term,
     deref,
-    is_number,
     list_to_python,
     make_list,
 )
 from ..unify import unify
-from . import builtin
+from . import builtin, unify_or_undo
 
 
-@builtin("functor", 3)
-def _functor(engine, args, depth, frame) -> Iterator[None]:
+@builtin("functor", 3, det=True)
+def _functor(engine, args) -> bool:
     """``functor(Term, Name, Arity)`` — decompose or construct a term."""
     term = deref(args[0])
-    mark = engine.trail.mark()
     if not isinstance(term, Var):
         if isinstance(term, Struct):
             name: Term = Atom(term.name)
             arity = term.arity
-        elif isinstance(term, Atom):
+        else:  # atom or number
             name, arity = term, 0
-        else:  # number
-            name, arity = term, 0
-        if unify(args[1], name, engine.trail) and unify(args[2], arity, engine.trail):
-            yield
-        engine.trail.undo_to(mark)
-        return
+        trail = engine.trail
+        mark = trail.mark()
+        if unify(args[1], name, trail) and unify(args[2], arity, trail):
+            return True
+        trail.undo_to(mark)
+        return False
     name_term, arity_term = deref(args[1]), deref(args[2])
     if isinstance(name_term, Var) or isinstance(arity_term, Var):
         raise InstantiationError("functor/3: insufficiently instantiated")
@@ -55,9 +53,7 @@ def _functor(engine, args, depth, frame) -> Iterator[None]:
         if not isinstance(name_term, Atom):
             raise TypeErrorProlog("atom", name_term)
         built = Struct(name_term.name, tuple(Var() for _ in range(arity_term)))
-    if unify(term, built, engine.trail):
-        yield
-    engine.trail.undo_to(mark)
+    return unify(term, built, engine.trail)
 
 
 @builtin("arg", 3)
@@ -88,20 +84,16 @@ def _arg(engine, args, depth, frame) -> Iterator[None]:
         engine.trail.undo_to(mark)
 
 
-@builtin("=..", 2)
-def _univ(engine, args, depth, frame) -> Iterator[None]:
+@builtin("=..", 2, det=True)
+def _univ(engine, args) -> bool:
     """``Term =.. List`` — between a term and [Name | Args]."""
     term = deref(args[0])
-    mark = engine.trail.mark()
     if not isinstance(term, Var):
         if isinstance(term, Struct):
             listing = make_list([Atom(term.name), *term.args])
         else:
             listing = make_list([term])
-        if unify(args[1], listing, engine.trail):
-            yield
-        engine.trail.undo_to(mark)
-        return
+        return unify_or_undo(engine, args[1], listing)
     try:
         items = list_to_python(args[1])
     except ValueError:
@@ -117,15 +109,10 @@ def _univ(engine, args, depth, frame) -> Iterator[None]:
         if not isinstance(functor, Atom):
             raise TypeErrorProlog("atom", functor)
         built = Struct(functor.name, tuple(items[1:]))
-    if unify(term, built, engine.trail):
-        yield
-    engine.trail.undo_to(mark)
+    return unify(term, built, engine.trail)
 
 
-@builtin("copy_term", 2)
-def _copy_term(engine, args, depth, frame) -> Iterator[None]:
+@builtin("copy_term", 2, det=True)
+def _copy_term(engine, args) -> bool:
     """``copy_term(Term, Copy)`` — Copy is Term with fresh variables."""
-    mark = engine.trail.mark()
-    if unify(args[1], copy_term(args[0]), engine.trail):
-        yield
-    engine.trail.undo_to(mark)
+    return unify_or_undo(engine, args[1], copy_term(args[0]))

@@ -8,29 +8,73 @@ variable across them.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ..terms import Atom, Struct, Var, deref, is_number, is_proper_list, term_is_ground
 from . import builtin
 
 
-def _type_test(name: str, accept, semifixed: bool = True) -> None:
-    @builtin(name, 1, semifixed=semifixed)
-    def _test(engine, args, depth, frame, _accept=accept) -> Iterator[None]:
-        if _accept(deref(args[0])):
-            yield
-
-    _test.__doc__ = f"``{name}(X)`` type test."
+@builtin("var", 1, semifixed=True, det=True)
+def _var(engine, args) -> bool:
+    """``var(X)`` type test."""
+    return isinstance(deref(args[0]), Var)
 
 
-_type_test("var", lambda t: isinstance(t, Var))
-_type_test("nonvar", lambda t: not isinstance(t, Var))
-_type_test("atom", lambda t: isinstance(t, Atom))
-_type_test("number", is_number)
-_type_test("integer", lambda t: isinstance(t, int) and not isinstance(t, bool))
-_type_test("float", lambda t: isinstance(t, float))
-_type_test("atomic", lambda t: isinstance(t, Atom) or is_number(t))
-_type_test("compound", lambda t: isinstance(t, Struct))
-_type_test("callable", lambda t: isinstance(t, (Atom, Struct)))
-_type_test("is_list", is_proper_list)
-_type_test("ground", term_is_ground)
+@builtin("nonvar", 1, semifixed=True, det=True)
+def _nonvar(engine, args) -> bool:
+    """``nonvar(X)`` type test."""
+    return not isinstance(deref(args[0]), Var)
+
+
+@builtin("atom", 1, semifixed=True, det=True)
+def _atom(engine, args) -> bool:
+    """``atom(X)`` type test."""
+    return isinstance(deref(args[0]), Atom)
+
+
+@builtin("number", 1, semifixed=True, det=True)
+def _number(engine, args) -> bool:
+    """``number(X)`` type test."""
+    return is_number(deref(args[0]))
+
+
+@builtin("integer", 1, semifixed=True, det=True)
+def _integer(engine, args) -> bool:
+    """``integer(X)`` type test."""
+    term = deref(args[0])
+    return isinstance(term, int) and not isinstance(term, bool)
+
+
+@builtin("float", 1, semifixed=True, det=True)
+def _float(engine, args) -> bool:
+    """``float(X)`` type test."""
+    return isinstance(deref(args[0]), float)
+
+
+@builtin("atomic", 1, semifixed=True, det=True)
+def _atomic(engine, args) -> bool:
+    """``atomic(X)`` type test."""
+    term = deref(args[0])
+    return isinstance(term, Atom) or is_number(term)
+
+
+@builtin("compound", 1, semifixed=True, det=True)
+def _compound(engine, args) -> bool:
+    """``compound(X)`` type test."""
+    return isinstance(deref(args[0]), Struct)
+
+
+@builtin("callable", 1, semifixed=True, det=True)
+def _callable(engine, args) -> bool:
+    """``callable(X)`` type test."""
+    return isinstance(deref(args[0]), (Atom, Struct))
+
+
+@builtin("is_list", 1, semifixed=True, det=True)
+def _is_list(engine, args) -> bool:
+    """``is_list(X)`` type test."""
+    return is_proper_list(deref(args[0]))
+
+
+@builtin("ground", 1, semifixed=True, det=True)
+def _ground(engine, args) -> bool:
+    """``ground(X)`` type test."""
+    return term_is_ground(deref(args[0]))

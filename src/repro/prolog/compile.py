@@ -63,9 +63,10 @@ op               meaning
                  user-predicate call, resolved inline by the machine's
                  clause-selection loop
 ``VM_DET``       ``(op, indicator, fn, build, argspecs, source)`` — a
-                 deterministic builtin (``is/2``, comparisons,
-                 ``=/2``...) run as one native function call: no
-                 generator, no choice point
+                 builtin registered ``det=True`` (``is/2``,
+                 comparisons, ``=/2``, type tests, I/O...) run as one
+                 call of its registered function: no generator, no
+                 choice point
 ``VM_BUILTIN``   ``(op, indicator, fn, build, argspecs)`` — any
                  other registered builtin, run as an iterator choice
                  point
@@ -539,7 +540,7 @@ def _make_args_builder(specs: tuple):
     return _TemplateArgs(template, patches)
 
 
-#: Arithmetically-evaluated argument positions of the native det ops.
+#: Arithmetically-evaluated argument positions of the det ops.
 #: A constant expression at one of these positions folds to its value
 #: at compile time (``X1 is 1 + 1`` carries the number 2, not the
 #: ``+/2`` term). Folding is attempted, never required: an expression
@@ -614,11 +615,9 @@ _FRAME_OPS = (VM_BUILTIN, VM_GENERIC)
 
 def _compile_vm_body(goals) -> Tuple[tuple, ...]:
     """Lower a clause body (its ``(code, const)`` goal pairs) to VM ops."""
-    # Late imports: builtins pulls in the whole registry (harmless by
-    # the time anything executes a clause) and vm provides the native
-    # deterministic implementations; both would cycle at import time.
+    # Late import: builtins pulls in the whole registry (harmless by the
+    # time anything executes a clause), which would cycle at import time.
     from .builtins import lookup
-    from .vm import DET_BUILTINS
 
     ops: list = []
 
@@ -678,14 +677,13 @@ def _compile_vm_body(goals) -> Tuple[tuple, ...]:
                 ops.append((VM_NOT_FAIL,))
                 ops[at] = (VM_NOT, indicator, len(ops), fresh, (code, const))
                 return
-        det = DET_BUILTINS.get(indicator)
-        if det is not None:
+        registered = lookup(indicator)
+        if registered is not None and registered.det:
             folded = _fold_arith_consts(indicator, specs)
-            ops.append((VM_DET, indicator, det, _make_args_builder(folded),
-                        folded, (code, const)))
+            ops.append((VM_DET, indicator, registered.fn,
+                        _make_args_builder(folded), folded, (code, const)))
             return
         build = _make_args_builder(specs)
-        registered = lookup(indicator)
         if registered is not None:
             ops.append((VM_BUILTIN, indicator, registered.fn, build, specs))
             return

@@ -45,7 +45,7 @@ from ..errors import (
 )
 from ..robustness import faults
 from ..robustness.budget import Budget
-from .builtins import BUILTINS, lookup
+from .builtins import BUILTINS, lookup, solve_det
 from .compile import flatten_conjunction
 from .database import Database
 from .metrics import Metrics
@@ -335,7 +335,10 @@ class Engine:
 
         registered = lookup(indicator)
         if registered is not None:
-            iterator = registered.fn(self, args, depth, frame)
+            if registered.det:
+                iterator = solve_det(self, registered.fn, args)
+            else:
+                iterator = registered.fn(self, args, depth, frame)
         else:
             if not self.database.defines(indicator):
                 raise ExistenceError(indicator)
@@ -403,8 +406,7 @@ class Engine:
             recorder.close_box(box, failed)
 
     def _charge_call(self, indicator: Indicator) -> None:
-        # Metrics.record_call inlined (every call of every engine path
-        # passes here); the totals must stay the same.
+        # The one place a predicate call is charged: the VM calls it too.
         metrics = self.metrics
         metrics.calls += 1
         by_predicate = metrics.calls_by_predicate

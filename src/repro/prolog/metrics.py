@@ -47,13 +47,6 @@ class Metrics:
     #: Variant tables that reached their fixpoint.
     tables_completed: int = 0
 
-    def record_call(self, indicator: Indicator) -> None:
-        """Charge one predicate call."""
-        self.calls += 1
-        self.calls_by_predicate[indicator] = (
-            self.calls_by_predicate.get(indicator, 0) + 1
-        )
-
     def record_unification(self, succeeded: bool) -> None:
         """Charge one head-unification attempt."""
         self.unifications += 1
@@ -63,19 +56,6 @@ class Metrics:
     def record_backtrack(self) -> None:
         """Charge one clause retry."""
         self.backtracks += 1
-
-    def record_instantiation(self) -> None:
-        """Charge one compiled-skeleton head instantiation."""
-        self.skeleton_instantiations += 1
-
-    def record_fast_reject(self) -> None:
-        """Charge one fingerprint-rejected head attempt.
-
-        Counts as a failed unification too, keeping ``unifications``
-        identical between the compiled and interpreted clause paths.
-        """
-        self.unifications += 1
-        self.head_fast_rejects += 1
 
     def record_table_hit(self) -> None:
         """Charge one tabled call served from an existing table."""

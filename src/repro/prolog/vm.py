@@ -12,11 +12,12 @@ Clause bodies are lowered to the linear bytecode of
   saved as one immutable tuple per in-flight call, so yielding a
   solution is O(1) instead of O(depth) generator hops, and recursion
   depth is data, not Python stack;
-* **native deterministic builtins** (:data:`DET_BUILTINS`) — ``is/2``,
-  the arithmetic comparisons, ``=/2``, the identity/order tests, and
-  the type tests run as one function call: no generator, no choice
+* **deterministic builtins called directly** — a builtin registered
+  ``det=True`` (``is/2``, the comparisons, ``=/2``, the type tests,
+  term construction, I/O, ...; see :mod:`repro.prolog.builtins`) runs
+  as one call of its registered function: no generator, no choice
   point, no undo (any later backtrack undoes to an older trail mark,
-  which subsumes their bindings);
+  which subsumes its bindings);
 * **native control constructs** — ``;``, ``->`` and ``\\+``/``not``
   are bytecode: an alternative choice point with its own trail mark, a
   local cut barrier for a condition or negated goal, and a jump.
@@ -26,10 +27,10 @@ machine replaced (``BENCH_engine.json`` and the recorder-parity
 fixture pin it), and the charged counters match the seed interpreter
 ``Engine(compiled=False)``, the differential oracle. The clause-attempt
 loops bump the :class:`~repro.prolog.metrics.Metrics` fields in place
-(as ``Engine._charge_call`` does for calls) instead of calling its
-``record_*`` methods; those bumps must stay in step with the methods,
-which the interpreter and tabling still use. ``BENCH_engine.json``'s
-exact counters and the two-way differential suite pin them.
+(as ``Engine._charge_call`` does for calls); those bumps must stay in
+step with the interpreter's ``record_unification`` and
+``record_backtrack`` calls. ``BENCH_engine.json``'s exact counters and
+the two-way differential suite pin them.
 
 Facts return at once. A clause with empty bytecode needs no activation:
 once its head unifies, at call entry or on a retry, the machine resumes
@@ -99,7 +100,6 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from ..errors import DepthLimitExceeded, ExistenceError
-from .builtins.arith import evaluate
 from .compile import (
     ARG_CONST,
     ARG_SLOT,
@@ -121,23 +121,11 @@ from .compile import (
 from .database import first_arg_key
 from .engine import Frame, _runtime_mode
 from .tabling import solve_tabled
-from .terms import (
-    Atom,
-    Struct,
-    Var,
-    deref,
-    is_number,
-    is_proper_list,
-    structural_eq,
-    term_is_ground,
-    term_ordering_key,
-)
-from .unify import unify
+from .terms import Atom, Struct, Var, deref
 
 __all__ = [
     "Machine",
     "solve_vm",
-    "DET_BUILTINS",
     "disassemble_clause",
     "disassemble_predicate",
     "disassemble_database",
@@ -155,185 +143,8 @@ CP_REDO = 6
 #: Sentinel distinguishing "iterator exhausted" from a yielded None.
 _EXHAUSTED = object()
 
-#: Det builtins whose generator twins undo their own bindings when
-#: redone, so their fail port shows the goal unbound; every other det
-#: builtin (and ``\\+``, which undoes before it succeeds) fails out with
-#: the bindings backtracking has left in place.
-_UNDOING_DETS = frozenset({("is", 2), ("=", 2)})
-
 #: The code of a box-exit continuation (see the module docstring).
 _EXIT_OPS = ((VM_EXIT,),)
-
-
-# -- native deterministic builtins ------------------------------------------
-#
-# Each mirrors its generator twin in repro.prolog.builtins line for
-# line (same evaluation order, same failure-time undo), minus the
-# success-time redo-undo: the machine never resumes a det op, and any
-# backtrack that could observe its bindings first undoes to an older
-# trail mark, which subsumes them. All are module-level named functions
-# so the bytecode tuples that carry them stay picklable.
-
-
-def _det_is(engine, args):
-    value = evaluate(args[1])
-    trail = engine.trail
-    mark = trail.mark()
-    if unify(args[0], value, trail):
-        return True
-    trail.undo_to(mark)
-    return False
-
-
-def _det_eq_num(engine, args):
-    return evaluate(args[0]) == evaluate(args[1])
-
-
-def _det_ne_num(engine, args):
-    return evaluate(args[0]) != evaluate(args[1])
-
-
-def _det_lt(engine, args):
-    return evaluate(args[0]) < evaluate(args[1])
-
-
-def _det_gt(engine, args):
-    return evaluate(args[0]) > evaluate(args[1])
-
-
-def _det_le(engine, args):
-    return evaluate(args[0]) <= evaluate(args[1])
-
-
-def _det_ge(engine, args):
-    return evaluate(args[0]) >= evaluate(args[1])
-
-
-def _det_unify(engine, args):
-    trail = engine.trail
-    mark = trail.mark()
-    if unify(args[0], args[1], trail, occurs_check=engine.occurs_check):
-        return True
-    trail.undo_to(mark)
-    return False
-
-
-def _det_not_unify(engine, args):
-    trail = engine.trail
-    mark = trail.mark()
-    unified = unify(args[0], args[1], trail, occurs_check=engine.occurs_check)
-    trail.undo_to(mark)
-    return not unified
-
-
-def _det_identical(engine, args):
-    return structural_eq(args[0], args[1])
-
-
-def _det_not_identical(engine, args):
-    return not structural_eq(args[0], args[1])
-
-
-def _order_sign(args):
-    left = term_ordering_key(args[0])
-    right = term_ordering_key(args[1])
-    return (left > right) - (left < right)
-
-
-def _det_before(engine, args):
-    return _order_sign(args) < 0
-
-
-def _det_after(engine, args):
-    return _order_sign(args) > 0
-
-
-def _det_before_eq(engine, args):
-    return _order_sign(args) <= 0
-
-
-def _det_after_eq(engine, args):
-    return _order_sign(args) >= 0
-
-
-def _det_var(engine, args):
-    return isinstance(deref(args[0]), Var)
-
-
-def _det_nonvar(engine, args):
-    return not isinstance(deref(args[0]), Var)
-
-
-def _det_atom(engine, args):
-    return isinstance(deref(args[0]), Atom)
-
-
-def _det_number(engine, args):
-    return is_number(deref(args[0]))
-
-
-def _det_integer(engine, args):
-    term = deref(args[0])
-    return isinstance(term, int) and not isinstance(term, bool)
-
-
-def _det_float(engine, args):
-    return isinstance(deref(args[0]), float)
-
-
-def _det_atomic(engine, args):
-    term = deref(args[0])
-    return isinstance(term, Atom) or is_number(term)
-
-
-def _det_compound(engine, args):
-    return isinstance(deref(args[0]), Struct)
-
-
-def _det_callable(engine, args):
-    return isinstance(deref(args[0]), (Atom, Struct))
-
-
-def _det_is_list(engine, args):
-    return is_proper_list(deref(args[0]))
-
-
-def _det_ground(engine, args):
-    return term_is_ground(deref(args[0]))
-
-
-#: Deterministic builtins the machine runs natively: ``fn(engine,
-#: args) -> bool``. Anything registered here must succeed at most once
-#: and leave bindings only on success (the generator twin's redo-undo
-#: is subsumed by outer trail marks — see the module docstring).
-DET_BUILTINS = {
-    ("is", 2): _det_is,
-    ("=:=", 2): _det_eq_num,
-    ("=\\=", 2): _det_ne_num,
-    ("<", 2): _det_lt,
-    (">", 2): _det_gt,
-    ("=<", 2): _det_le,
-    (">=", 2): _det_ge,
-    ("=", 2): _det_unify,
-    ("\\=", 2): _det_not_unify,
-    ("==", 2): _det_identical,
-    ("\\==", 2): _det_not_identical,
-    ("@<", 2): _det_before,
-    ("@>", 2): _det_after,
-    ("@=<", 2): _det_before_eq,
-    ("@>=", 2): _det_after_eq,
-    ("var", 1): _det_var,
-    ("nonvar", 1): _det_nonvar,
-    ("atom", 1): _det_atom,
-    ("number", 1): _det_number,
-    ("integer", 1): _det_integer,
-    ("float", 1): _det_float,
-    ("atomic", 1): _det_atomic,
-    ("compound", 1): _det_compound,
-    ("callable", 1): _det_callable,
-    ("is_list", 1): _det_is_list,
-    ("ground", 1): _det_ground,
-}
 
 
 class Machine:
@@ -411,9 +222,9 @@ class Machine:
         test the trampoline makes inline before calling here — and a
         cold one asks the recorder. With ``undo`` the fail port first
         undoes everything bound since the call, as the generator clause
-        loop did; without, the fail port renders the bindings
-        backtracking left in place, as a delegated iterator or a det
-        builtin's generator twin leaves them.
+        loop and the interpreter's deterministic-builtin adapter do;
+        without, the fail port renders the bindings backtracking left in
+        place, as a delegated iterator leaves them.
         """
         engine = self.engine
         metrics = engine.metrics
@@ -525,8 +336,8 @@ class Machine:
     # Shared by call entry (first attempt, no choice point yet) and the
     # backtrack handlers (retry from a stored cursor). Every counter
     # bumped below is one the differential suites and the engine
-    # benchmark pin; the bumps are Metrics.record_* inlined, and must
-    # stay in step with those methods.
+    # benchmark pin; they must stay in step with the interpreter's
+    # Metrics.record_unification/record_backtrack calls.
 
     def _try_clauses(
         self, goal_args, clauses, program, cursor, mark,
@@ -976,7 +787,7 @@ class Machine:
                         continue
                     entry = self._open_box(recorder, op[1],
                                            _source_goal(op[-1], frame_slots),
-                                           depth, op[1] in _UNDOING_DETS)
+                                           depth)
                     if op[2](engine, op[3](frame_slots)):
                         if entry is not None:
                             self._exit_box(entry)

@@ -168,9 +168,13 @@ class TermWriter:
             definition = self.operators.prefix(term.name)
             if definition is None:
                 return None
-            if term.name == "-" and is_number(deref(term.args[0])):
-                return None  # '- 1' would read as the integer -1
             operand = self._operand(term.args[0], definition.right_max)
+            if term.name == "-" and (
+                is_number(deref(term.args[0])) or operand[0].isdigit()
+            ):
+                # '- 1' reads as the integer -1, and '- 2 ** X' as
+                # (-2) ** X: a '-' before a number token is a sign.
+                return None
             text = f"{self.atom_text(term.name)} {operand}"
             if definition.priority > max_priority:
                 return f"({text})"

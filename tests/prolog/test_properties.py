@@ -4,7 +4,7 @@ reader robustness, and standard-order laws."""
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.errors import PrologSyntaxError
 from repro.prolog.compile import CompiledClause
@@ -252,6 +252,8 @@ class TestClauseRoundTripProperties:
         assert variant_key(reread) == variant_key(clause)
 
     @given(st.lists(clause_terms(), min_size=1, max_size=4))
+    @example([parse_term("p(X, Y) :- Y is -(2 ** X)")])
+    @example([parse_term("q(Y) :- Y = -(1 ^ a), Y \\== -(1.5 ** 2)")])
     @settings(max_examples=300)
     def test_program_roundtrip(self, clauses):
         # The program declares the user operators, so the reader parses

@@ -29,8 +29,8 @@ from repro.prolog.compile import (
     VM_TRY,
 )
 from repro.prolog.trace import CollectingTracer
+from repro.prolog.builtins import BUILTINS
 from repro.prolog.vm import (
-    DET_BUILTINS,
     Machine,
     disassemble_database,
     disassemble_predicate,
@@ -350,7 +350,7 @@ class TestBytecodeShape:
 
     def test_det_table_covers_hot_builtins(self):
         for indicator in [("is", 2), ("=", 2), ("<", 2), ("==", 2)]:
-            assert indicator in DET_BUILTINS
+            assert BUILTINS[indicator].det
 
 
 class TestDisassembler:
