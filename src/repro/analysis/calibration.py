@@ -279,15 +279,9 @@ class EmpiricalCalibrator:
 
         ``op`` directives come first so custom operators parse, then
         ``table`` directives, then the clauses."""
-        from ..prolog.writer import program_to_string, term_to_string
+        from ..prolog.writer import op_directives, program_to_string
 
-        lines = []
-        for directive in self.database.directives:
-            directive = deref(directive)
-            if isinstance(directive, Struct) and directive.name == "op":
-                lines.append(
-                    f":- {term_to_string(directive, self.database.operators)}."
-                )
+        lines = op_directives(self.database.operators)
         for name, arity in sorted(self.database.tabled):
             lines.append(f":- table {name}/{arity}.")
         lines.append(

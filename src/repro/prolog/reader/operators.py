@@ -9,7 +9,7 @@ operator's (``y``) or must be strictly lower (``x``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["OpDef", "OperatorTable", "standard_operators", "MAX_PRIORITY"]
 
@@ -87,6 +87,19 @@ class OperatorTable:
     def lookup(self, name: str) -> Tuple[Optional[OpDef], Optional[OpDef]]:
         """(prefix definition, infix-or-postfix definition) for ``name``."""
         return self._prefix.get(name), self._infix.get(name)
+
+    def added(self) -> List[Tuple[int, str, str]]:
+        """``(priority, type, name)`` of every definition that is not in
+        the standard table, prefix ones first, in definition order."""
+        return [
+            (definition.priority, definition.type, name)
+            for table, standard in (
+                (self._prefix, _STANDARD._prefix),
+                (self._infix, _STANDARD._infix),
+            )
+            for name, definition in table.items()
+            if standard.get(name) != definition
+        ]
 
 
 def _standard_table() -> OperatorTable:

@@ -33,7 +33,13 @@ from .terms import (
     is_number,
 )
 
-__all__ = ["term_to_string", "clause_to_string", "program_to_string", "TermWriter"]
+__all__ = [
+    "term_to_string",
+    "clause_to_string",
+    "program_to_string",
+    "op_directives",
+    "TermWriter",
+]
 
 #: Atoms written bare although they are neither names nor symbol runs.
 #: ``','`` and ``'|'`` are not among them: bare, they read as punctuation.
@@ -220,3 +226,16 @@ def program_to_string(
 ) -> str:
     """Render a sequence of clause terms as a Prolog program."""
     return "\n".join(clause_to_string(c, operators) for c in clauses) + "\n"
+
+
+def op_directives(operators: OperatorTable) -> List[str]:
+    """One ``:- op(Priority, Type, Name).`` line per definition that
+    ``operators`` adds to the standard table, so text written with
+    ``operators`` reads back with them."""
+    return [
+        clause_to_string(
+            Struct(":-", (Struct("op", (priority, Atom(kind), Atom(name))),)),
+            operators,
+        )
+        for priority, kind, name in operators.added()
+    ]

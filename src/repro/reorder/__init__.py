@@ -3,13 +3,7 @@ and clause ordering, per-mode specialisation, and the driving facade."""
 
 from .clause_order import ClauseRanking, heads_mutually_exclusive, order_clauses
 from .explain import explain_predicate
-from .pipeline import (
-    AnalysisContext,
-    CachedPredicateBuild,
-    Phase,
-    PipelineState,
-    ReorderPipeline,
-)
+from .pipeline import AnalysisContext, CachedPredicateBuild
 from .goal_search import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     OrderResult,
@@ -45,10 +39,7 @@ __all__ = [
     "DEFAULT_EXHAUSTIVE_LIMIT",
     "ModeVersion",
     "OrderResult",
-    "Phase",
-    "PipelineState",
     "QueryCheck",
-    "ReorderPipeline",
     "ReorderOptions",
     "ReorderReport",
     "ReorderedProgram",

@@ -1,49 +1,21 @@
-"""The staged reordering pipeline.
+"""The reordering pipeline.
 
-``reorder/system.py`` used to be a 900-line monolith running all phases
-inline; this package splits it into :class:`Phase` objects over a
-shared :class:`PipelineState`, with an incremental
-:class:`AnalysisContext` caching analyses and per-predicate builds
-across runs. ``Reorderer`` (in :mod:`repro.reorder.system`) survives
-as the thin facade everyone imports. See docs/REORDER_PIPELINE.md.
+:class:`~repro.reorder.system.Reorderer` holds one reorder's options
+and analyses; :mod:`.runner` builds every predicate callees-first with
+the functions of :mod:`.build` and :mod:`.phases`, and an
+:class:`AnalysisContext` caches analyses and per-predicate builds
+across runs. See docs/REORDER_PIPELINE.md.
 """
 
-from .build import (
-    GoalSequencePhase,
-    InnerControlPhase,
-    RuntimeGuardPhase,
-    VersionBuildPhase,
-)
 from .context import ANALYSIS_STAGES, AnalysisContext, CachedPredicateBuild
-from .phases import (
-    AnalysisSummaryPhase,
-    ModeEnumerationPhase,
-    OutputBuildPhase,
-    Phase,
-    ProcessingOrderPhase,
-    VersionDedupPhase,
-)
-from .runner import PipelineState, ReorderPipeline
 from .types import ModeVersion, ReorderOptions, ReorderReport, ReorderedProgram
 
 __all__ = [
     "ANALYSIS_STAGES",
     "AnalysisContext",
-    "AnalysisSummaryPhase",
     "CachedPredicateBuild",
-    "GoalSequencePhase",
-    "InnerControlPhase",
-    "ModeEnumerationPhase",
     "ModeVersion",
-    "OutputBuildPhase",
-    "Phase",
-    "PipelineState",
-    "ProcessingOrderPhase",
     "ReorderOptions",
-    "ReorderPipeline",
     "ReorderReport",
     "ReorderedProgram",
-    "RuntimeGuardPhase",
-    "VersionBuildPhase",
-    "VersionDedupPhase",
 ]

@@ -61,18 +61,19 @@ CALIBRATION_STAGE = "calibration"
 
 @dataclass
 class CachedPredicateBuild:
-    """Everything one predicate's processing produced, recorded so a
-    cache hit can replay the *exact* side effects of a fresh build:
-    version-name registrations (insertion order matters — dispatcher
-    clause order follows it), cost-model overrides, report decision
-    lines, and the three warning streams."""
+    """Everything one predicate's build produced, recorded so a cache
+    hit can replay the *exact* side effects of a fresh build. The
+    fields after ``versions`` are the entries the build appended to
+    each stream the runner's ledger tracks, in order."""
 
-    indicator: Indicator
     versions: List[ModeVersion]
-    #: (mode, name) in original registration order.
-    version_names: List[Tuple[Mode, str]] = field(default_factory=list)
-    #: (mode, line) decision notes in chronological order.
-    notes: List[Tuple[Mode, str]] = field(default_factory=list)
+    #: ((indicator, mode), name) in registration order (dispatcher
+    #: clause order follows it).
+    version_names: List[Tuple[Tuple[Indicator, Mode], str]] = field(
+        default_factory=list
+    )
+    #: (indicator, mode, line) decision notes in chronological order.
+    notes: List[Tuple[Indicator, Mode, str]] = field(default_factory=list)
     #: Warnings appended directly to ``report.warnings`` (e.g. the
     #: no-legal-modes warning from mode enumeration).
     report_warnings: List[str] = field(default_factory=list)
@@ -80,10 +81,12 @@ class CachedPredicateBuild:
     modes_warnings: List[str] = field(default_factory=list)
     #: Cost-model warnings first emitted during this build.
     model_warnings: List[str] = field(default_factory=list)
-    #: (mode, stats) cost-model overrides, in installation order. Kept
-    #: separately from ``versions`` because dedup may drop a version
-    #: whose override persists.
-    overrides: List[Tuple[Mode, GoalStats]] = field(default_factory=list)
+    #: (indicator, mode, stats) cost-model overrides, in installation
+    #: order. Kept apart from ``versions`` because dedup may drop a
+    #: version whose override persists.
+    overrides: List[Tuple[Indicator, Mode, GoalStats]] = field(
+        default_factory=list
+    )
 
 
 class AnalysisContext:
@@ -274,10 +277,6 @@ class AnalysisContext:
     def store_build(self, indicator: Indicator, build: CachedPredicateBuild) -> None:
         """Remember one freshly built predicate for later replay."""
         self._builds[indicator] = build
-
-    def cached_predicates(self) -> List[Indicator]:
-        """The predicates currently served from cache (for tests)."""
-        return sorted(self._builds)
 
     # -- calibration ------------------------------------------------------
 

@@ -1,12 +1,8 @@
-"""The whole-program phases of the reordering pipeline.
+"""The whole-program steps of the reordering pipeline, with mode
+enumeration and version dedup.
 
-Each phase is a :class:`Phase` object with declared inputs/outputs over
-the shared :class:`~repro.reorder.pipeline.runner.PipelineState`. The
-bodies are verbatim transplants of the corresponding ``Reorderer``
-methods — the cold-path output must stay byte-identical to the
-pre-pipeline monolith (asserted against the committed golden fixtures
-in ``tests/reorder/golden/``), so the operation *order* here is load
-bearing.
+The operation order here is what the golden fixtures in
+``tests/reorder/golden/`` pin, so it is load bearing.
 """
 
 from __future__ import annotations
@@ -24,120 +20,67 @@ from ..specialize import build_dispatcher
 from .types import Indicator, ModeVersion
 
 __all__ = [
-    "Phase",
-    "AnalysisSummaryPhase",
-    "ProcessingOrderPhase",
     "ModeEnumerationPhase",
-    "VersionDedupPhase",
     "OutputBuildPhase",
-    "BackendSelectionPhase",
+    "VersionDedupPhase",
+    "processing_order",
+    "select_backends",
+    "summarize_analyses",
 ]
 
-
-class Phase:
-    """One stage of the reordering pipeline.
-
-    ``inputs``/``outputs`` declare, as dotted state paths, what the
-    phase reads and writes on the shared
-    :class:`~repro.reorder.pipeline.runner.PipelineState`; they are
-    documentation *and* contract — ``tests/reorder/test_pipeline.py``
-    checks the declarations stay truthful enough to reason about
-    caching (a phase must not write outside its declared outputs).
-    """
-
-    #: Stable phase identifier (also the key in progress/debug output).
-    name: str = ""
-    #: Dotted state paths read by :meth:`run`.
-    inputs: Tuple[str, ...] = ()
-    #: Dotted state paths written by :meth:`run`.
-    outputs: Tuple[str, ...] = ()
-
-    def run(self, state) -> None:
-        """Execute the phase over the shared pipeline state."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Phase {self.name}>"
+# ModeEnumerationPhase, VersionDedupPhase and OutputBuildPhase are
+# classes only so that ``perfbench/layers.py`` can time their ``run``.
 
 
-class AnalysisSummaryPhase(Phase):
+def summarize_analyses(reorderer) -> None:
     """Copy the analysis verdicts (fixed/recursive/semifixed/tabled)
     into the report, before any reordering decisions are made."""
-
-    name = "analysis summary"
-    inputs = (
-        "fixity",
-        "callgraph",
-        "declarations",
-        "database",
-        "semifixity",
-        "model",
-    )
-    outputs = (
-        "report.fixed_predicates",
-        "report.recursive_predicates",
-        "report.semifixed_predicates",
-        "report.tabled_predicates",
-    )
-
-    def run(self, state) -> None:
-        """Fill the four report predicate sets from the analyses."""
-        state.report.fixed_predicates = set(state.fixity.fixed_predicates)
-        state.report.recursive_predicates = set(
-            recursive_predicates(state.callgraph)
-        ) | set(state.declarations.recursive)
-        state.report.semifixed_predicates = {
-            indicator
-            for indicator in state.database.predicates()
-            if state.semifixity.is_semifixed(indicator)
-        }
-        state.report.tabled_predicates = {
-            indicator
-            for indicator in state.database.predicates()
-            if state.model.is_tabled(indicator)
-        }
+    report, database = reorderer.report, reorderer.database
+    report.fixed_predicates = set(reorderer.fixity.fixed_predicates)
+    report.recursive_predicates = set(
+        recursive_predicates(reorderer.callgraph)
+    ) | set(reorderer.declarations.recursive)
+    report.semifixed_predicates = {
+        indicator
+        for indicator in database.predicates()
+        if reorderer.semifixity.is_semifixed(indicator)
+    }
+    report.tabled_predicates = {
+        indicator
+        for indicator in database.predicates()
+        if reorderer.model.is_tabled(indicator)
+    }
 
 
-class ProcessingOrderPhase(Phase):
+def processing_order(reorderer) -> List[Indicator]:
     """User predicates, callees before callers (Tarjan emission order
     is reverse topological over the condensation)."""
-
-    name = "processing order"
-    inputs = ("callgraph", "database")
-    outputs = ("order",)
-
-    def run(self, state) -> None:
-        """Compute ``state.order`` from the call graph's SCCs."""
-        components = strongly_connected_components(state.callgraph.callees)
-        order: List[Indicator] = []
-        for component in components:
-            for indicator in sorted(component):
-                if state.database.defines(indicator):
-                    order.append(indicator)
-        state.order = order
+    components = strongly_connected_components(reorderer.callgraph.callees)
+    order: List[Indicator] = []
+    for component in components:
+        for indicator in sorted(component):
+            if reorderer.database.defines(indicator):
+                order.append(indicator)
+    return order
 
 
-class ModeEnumerationPhase(Phase):
-    """Legal {+,-} input modes of the current predicate (warning when
-    none could be inferred or declared)."""
+class ModeEnumerationPhase:
+    """Legal {+,-} input modes of one predicate (warning when none
+    could be inferred or declared)."""
 
-    name = "mode enumeration"
-    inputs = ("current", "modes")
-    outputs = ("current_modes", "report.warnings")
-
-    def run(self, state) -> None:
-        """Fill ``state.current_modes`` for the current predicate."""
-        indicator = state.current
-        legal = state.modes.legal_input_modes(indicator)
+    @staticmethod
+    def run(pipeline, indicator: Indicator) -> List[Mode]:
+        reorderer = pipeline.reorderer
+        legal = reorderer.modes.legal_input_modes(indicator)
         if not legal:
-            state.report.warnings.append(
+            reorderer.report.warnings.append(
                 f"{indicator_str(indicator)}: no legal {{+,-}} input modes "
                 f"inferred or declared; keeping the original definition"
             )
-        state.current_modes = legal
+        return legal
 
 
-class VersionDedupPhase(Phase):
+class VersionDedupPhase:
     """Merge versions whose clause lists are identical.
 
     "In many cases, the reorderer produces only one or two distinct
@@ -147,17 +90,11 @@ class VersionDedupPhase(Phase):
     predicate's own (possibly recursive) clauses.
     """
 
-    name = "version dedup"
-    inputs = ("current", "current_versions", "current_specialized")
-    outputs = ("current_versions", "version_names", "report.decisions")
-
-    def run(self, state) -> None:
-        """Deduplicate ``state.current_versions`` in place (specialised
-        predicates only; in-place versions are already singular)."""
-        if not state.current_specialized:
-            return
-        indicator = state.current
-        versions = state.current_versions
+    @staticmethod
+    def run(pipeline, indicator: Indicator, versions: List[ModeVersion]) -> None:
+        """Deduplicate one predicate's specialised ``versions`` in place."""
+        reorderer = pipeline.reorderer
+        version_names = reorderer._version_names
         by_shape: Dict[str, ModeVersion] = {}
         rename_map: Dict[str, str] = {}
         kept: List[ModeVersion] = []
@@ -184,8 +121,8 @@ class VersionDedupPhase(Phase):
                 kept.append(version)
             else:
                 rename_map[version.name] = canonical.name
-                state.version_names[(indicator, version.mode)] = canonical.name
-                state.report.note(
+                version_names[(indicator, version.mode)] = canonical.name
+                reorderer.report.note(
                     indicator, version.mode,
                     f"identical to version {canonical.name}; merged",
                 )
@@ -196,9 +133,9 @@ class VersionDedupPhase(Phase):
             only = kept[0]
             rename_map[only.name] = indicator[0]
             only.name = indicator[0]
-            for (ind, mode) in list(state.version_names):
+            for (ind, mode) in list(version_names):
                 if ind == indicator:
-                    state.version_names[(ind, mode)] = indicator[0]
+                    version_names[(ind, mode)] = indicator[0]
         if not rename_map:
             return
         for version in kept:
@@ -214,20 +151,17 @@ class VersionDedupPhase(Phase):
         versions[:] = kept
 
 
-class OutputBuildPhase(Phase):
+class OutputBuildPhase:
     """Emit the output database: dispatchers first (they carry the
     original names), then every distinct version's clauses, with
     tabling propagated to the specialised names."""
 
-    name = "output build"
-    inputs = ("versions", "version_names", "database", "options", "spans")
-    outputs = ("output",)
-
-    def run(self, state) -> None:
-        """Build ``state.output`` from the collected versions."""
-        versions = state.versions
-        output = Database(indexing=state.options.indexing)
-        output.operators = state.database.operators
+    @staticmethod
+    def run(pipeline, versions: Dict[Tuple[Indicator, Mode], ModeVersion]) -> Database:
+        reorderer = pipeline.reorderer
+        source = reorderer.database
+        output = Database(indexing=reorderer.options.indexing)
+        output.operators = source.operators
         dispatched: Set[Indicator] = set()
         for (indicator, _mode), version in versions.items():
             if version.name == indicator[0]:
@@ -237,10 +171,10 @@ class OutputBuildPhase(Phase):
             dispatched.add(indicator)
             mode_map = {
                 mode: name
-                for (ind, mode), name in state.version_names.items()
+                for (ind, mode), name in reorderer._version_names.items()
                 if ind == indicator
             }
-            with state.spans.span("specialize"):
+            with reorderer.spans.span("specialize"):
                 output.add_clause(build_dispatcher(indicator, mode_map))
         seen_versions: Set[Indicator] = set()
         for version in versions.values():
@@ -251,12 +185,12 @@ class OutputBuildPhase(Phase):
                 output.add_clause(Clause(clause.head, clause.body))
             # A tabled predicate stays tabled under its specialised
             # names, so the emitted program memoizes the same calls.
-            if version.indicator in state.database.tabled:
+            if version.indicator in source.tabled:
                 output.tabled.add(version.version_indicator)
-        state.output = output
+        return output
 
 
-class BackendSelectionPhase(Phase):
+def select_backends(reorderer) -> None:
     """Pick the evaluation backend (top-down SLD vs bottom-up
     semi-naive) for every user predicate, per recursion component.
 
@@ -271,30 +205,23 @@ class BackendSelectionPhase(Phase):
     user can see which strata the engine would materialize before ever
     running the program.
     """
-
-    name = "backend selection"
-    inputs = ("database", "callgraph", "model")
-    outputs = ("report.backends",)
-
-    def run(self, state) -> None:
-        """Stratify the source program and record one verdict per
-        defined predicate on ``state.report.backends``."""
-        stratification = stratify(state.database, state.callgraph)
-        for stratum in stratification.strata:
-            for indicator in stratum.predicates:
-                if not state.database.defines(indicator):
-                    continue
-                topdown = None
-                if stratum.eligible and not stratum.recursive:
-                    mode = (ModeItem.MINUS,) * indicator[1]
-                    topdown = state.model.predicate_stats(indicator, mode)
-                state.report.backends[indicator] = choose_backend(
-                    eligible=stratum.eligible,
-                    recursive=stratum.recursive,
-                    fact_count=stratum.fact_count,
-                    rule_count=stratum.rule_count,
-                    topdown=topdown,
-                )
+    database = reorderer.database
+    stratification = stratify(database, reorderer.callgraph)
+    for stratum in stratification.strata:
+        for indicator in stratum.predicates:
+            if not database.defines(indicator):
+                continue
+            topdown = None
+            if stratum.eligible and not stratum.recursive:
+                mode = (ModeItem.MINUS,) * indicator[1]
+                topdown = reorderer.model.predicate_stats(indicator, mode)
+            reorderer.report.backends[indicator] = choose_backend(
+                eligible=stratum.eligible,
+                recursive=stratum.recursive,
+                fact_count=stratum.fact_count,
+                rule_count=stratum.rule_count,
+                topdown=topdown,
+            )
 
 
 def _strip_name(head: Term) -> Term:

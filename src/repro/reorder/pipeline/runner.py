@@ -1,149 +1,59 @@
-"""Wiring and execution order of the reordering pipeline.
+"""Execution order of the reordering pipeline.
 
-:class:`ReorderPipeline` instantiates the nine phases, runs them over a
-:class:`PipelineState`, and — when an :class:`AnalysisContext` is
-attached — replays cached per-predicate builds instead of recomputing
-them. The cold path performs exactly the operations of the
-pre-pipeline ``Reorderer.reorder()`` in exactly the same order, so its
-output is byte-identical (pinned by ``tests/reorder/golden/``).
+:class:`ReorderPipeline` runs one reorder for the
+:class:`~repro.reorder.system.Reorderer` that created it, reading the
+options, analyses, report, spans, budget and events from it. Each user
+predicate is built callees-first, or replayed from the
+:class:`AnalysisContext` when one is attached. Without a context it
+performs exactly the operations of the pre-pipeline
+``Reorderer.reorder()`` in the same order, so its output is
+byte-identical (pinned by ``tests/reorder/golden/``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import List, Optional, Set, Tuple
 
-from ...analysis.modes import Mode
+from ...analysis.modes import all_input_modes
+from ...analysis.recursion import affected_predicates
 from ...errors import BudgetExceededError
 from ...robustness import faults
 from ...robustness.budget import Budget
-from .build import (
-    GoalSequencePhase,
-    InnerControlPhase,
-    RuntimeGuardPhase,
-    VersionBuildPhase,
-)
-from .context import AnalysisContext, CachedPredicateBuild
+from .build import VersionBuildPhase
+from .context import CachedPredicateBuild
 from .phases import (
-    AnalysisSummaryPhase,
-    BackendSelectionPhase,
     ModeEnumerationPhase,
     OutputBuildPhase,
-    ProcessingOrderPhase,
+    VersionDedupPhase,
+    processing_order,
+    select_backends,
+    summarize_analyses,
 )
-from .phases import VersionDedupPhase
 from .types import Indicator, ModeVersion, ReorderedProgram
 
-__all__ = ["PipelineState", "ReorderPipeline"]
-
-
-class PipelineState:
-    """Everything the phases read and write while reordering one
-    program: the analyses, the shared report/telemetry objects, and the
-    per-predicate scratch slots (``current*``)."""
-
-    def __init__(
-        self,
-        *,
-        options,
-        database,
-        report,
-        spans,
-        search_counters,
-        declarations,
-        callgraph,
-        fixity,
-        semifixity,
-        modes,
-        domains,
-        model,
-        version_names,
-        context: Optional[AnalysisContext] = None,
-        budget: Optional[Budget] = None,
-        events=None,
-    ):
-        self.options = options
-        self.database = database
-        self.report = report
-        self.spans = spans
-        self.search_counters = search_counters
-        self.declarations = declarations
-        self.callgraph = callgraph
-        self.fixity = fixity
-        self.semifixity = semifixity
-        self.modes = modes
-        self.domains = domains
-        self.model = model
-        #: (indicator, mode) → final specialised name (shared with the
-        #: facade so later runs and explain() see the same mapping).
-        self.version_names: Dict[Tuple[Indicator, Mode], str] = version_names
-        #: None disables build caching (cold one-shot run).
-        self.context = context
-        #: Whole-run resource budget (None = unbounded). Exhaustion of
-        #: *this* budget aborts the run; per-predicate failures degrade.
-        self.budget = budget
-        #: Per-predicate deadline budget, rebuilt by the runner for each
-        #: indicator when ``options.phase_timeout`` is set.
-        self.phase_budget: Optional[Budget] = None
-        #: Optional event bus (degraded/budget events).
-        self.events = events
-        # Whole-program results.
-        self.order: List[Indicator] = []
-        self.versions: Dict[Tuple[Indicator, Mode], ModeVersion] = {}
-        self.output = None
-        # Per-predicate scratch (reset per indicator by the runner).
-        self.current: Optional[Indicator] = None
-        self.current_modes: List[Mode] = []
-        self.current_versions: List[ModeVersion] = []
-        self.current_specialized = False
-        self.current_overrides: List[Tuple[Mode, object]] = []
-        # Nested sub-phase request slots.
-        self.sequence_request = None
-        self.control_request = None
-        self.guard_request = None
-        # Run-local warning accumulators: the mode-inference and
-        # cost-model warning streams of *this* run, in emission order.
-        # With a reused context the underlying analyses keep warnings
-        # from previous runs (memo-guarded, so they would not re-emit);
-        # per-predicate deltas + cached replays reconstruct the stream.
-        self.run_modes_warnings: List[str] = []
-        self.run_model_warnings: List[str] = []
+__all__ = ["ReorderPipeline"]
 
 
 class ReorderPipeline:
-    """The ten phases, in execution order, over one PipelineState."""
+    """One run of the pipeline over a Reorderer's program."""
 
-    def __init__(self, state: PipelineState):
-        self.state = state
-        self.analysis_summary = AnalysisSummaryPhase()
-        self.processing_order = ProcessingOrderPhase()
-        self.mode_enumeration = ModeEnumerationPhase()
-        self.goal_sequence = GoalSequencePhase()
-        self.inner_control = InnerControlPhase(self.goal_sequence)
-        self.runtime_guards = RuntimeGuardPhase(
-            self.goal_sequence, self.inner_control
-        )
-        self.version_build = VersionBuildPhase(
-            self.goal_sequence, self.inner_control, self.runtime_guards
-        )
-        self.version_dedup = VersionDedupPhase()
-        self.output_build = OutputBuildPhase()
-        self.backend_selection = BackendSelectionPhase()
-        #: All phases, in the order their work happens.
-        self.phases = (
-            self.analysis_summary,
-            self.processing_order,
-            self.mode_enumeration,
-            self.version_build,
-            self.goal_sequence,
-            self.inner_control,
-            self.runtime_guards,
-            self.version_dedup,
-            self.output_build,
-            self.backend_selection,
-        )
+    def __init__(self, reorderer):
+        self.reorderer = reorderer
+        #: The build cache, or None when this run must build everything
+        #: (no context, or an analysis was swapped on the Reorderer).
+        self.context = reorderer.context if reorderer._cache_usable() else None
+        #: The budget goal search charges: the per-predicate deadline
+        #: when ``options.phase_timeout`` is set, else the whole run's.
+        self.budget: Optional[Budget] = reorderer.budget
+        #: (indicator, mode, stats) cost-model overrides installed so far.
+        self.overrides: List[Tuple] = []
+        #: Callers of a predicate degraded in this run: their cached
+        #: builds call versions that no longer exist, so they rebuild.
+        self.stale: Set[Indicator] = set()
 
     def run(self) -> ReorderedProgram:
-        """Execute all phases and return the reordered program.
+        """Build every predicate and return the reordered program.
 
         Per-predicate failure isolation: any exception out of one
         predicate's build (injected fault, per-predicate deadline, a
@@ -152,46 +62,128 @@ class ReorderPipeline:
         predicate's output untouched. Only exhaustion of the
         *whole-run* budget (deadline expiry / cancellation) aborts.
         """
-        state = self.state
-        if state.budget is not None:
-            state.budget.start()
-        self.analysis_summary.run(state)
-        self.processing_order.run(state)
-        for indicator in state.order:
-            state.current = indicator
-            if state.budget is not None:
-                state.budget.check("phase.build")
-            if state.options.phase_timeout is not None:
-                state.phase_budget = Budget(
-                    deadline=state.options.phase_timeout
-                ).start()
-            snapshot = self._snapshot()
-            try:
-                if faults.ACTIVE is not None:
-                    faults.ACTIVE.hit("phase.build")
-                if not self._replay_cached(indicator):
-                    self._build_fresh(indicator)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                if self._whole_run_exhausted(exc):
-                    raise
-                self._degrade(indicator, exc, snapshot)
-            finally:
-                state.phase_budget = None
-            for version in state.current_versions:
-                state.versions[(version.indicator, version.mode)] = version
-        self.output_build.run(state)
-        self.backend_selection.run(state)
-        state.report.warnings.extend(state.run_modes_warnings)
-        state.report.warnings.extend(state.run_model_warnings)
+        reorderer = self.reorderer
+        if reorderer.budget is not None:
+            reorderer.budget.start()
+        summarize_analyses(reorderer)
+        builds = [self._build(indicator) for indicator in processing_order(reorderer)]
+        versions = {
+            (version.indicator, version.mode): version
+            for build in builds
+            for version in build.versions
+        }
+        output = OutputBuildPhase.run(self, versions)
+        select_backends(reorderer)
+        # The analyses warn once per memoised question, so a replayed
+        # build's warnings reach the report only through its record.
+        for build in builds:
+            reorderer.report.warnings.extend(build.modes_warnings)
+        for build in builds:
+            reorderer.report.warnings.extend(build.model_warnings)
         return ReorderedProgram(
-            state.output,
-            state.versions,
-            state.report,
-            state.database,
-            version_names=dict(state.version_names),
+            output,
+            versions,
+            reorderer.report,
+            reorderer.database,
+            version_names=dict(reorderer._version_names),
         )
+
+    def _build(self, indicator: Indicator) -> CachedPredicateBuild:
+        """Replay or build one predicate; degrade it on failure."""
+        reorderer = self.reorderer
+        if reorderer.budget is not None:
+            reorderer.budget.check("phase.build")
+        timeout = reorderer.options.phase_timeout
+        self.budget = (
+            reorderer.budget if timeout is None else Budget(deadline=timeout).start()
+        )
+        mark = self._mark()
+        try:
+            if faults.ACTIVE is not None:
+                faults.ACTIVE.hit("phase.build")
+            use_cache = self.context is not None and indicator not in self.stale
+            if use_cache:
+                build = self.context.build_for(indicator)
+                if build is not None:
+                    self._replay(build)
+                    return build
+            elif indicator in self.stale:
+                # Its stats in the cost model may come from a build
+                # against the degraded callee's versions.
+                self._forget_stats(indicator)
+            modes = ModeEnumerationPhase.run(self, indicator)
+            versions, specialized = VersionBuildPhase.run(self, indicator, modes)
+            if specialized:
+                VersionDedupPhase.run(self, indicator, versions)
+            build = self._capture(mark, versions)
+            if use_cache:
+                self.context.store_build(indicator, build)
+            return build
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:
+            if self._whole_run_exhausted(exc):
+                raise
+            return self._degrade(indicator, exc, mark)
+
+    # -- the build ledger --------------------------------------------------
+
+    def _streams(self) -> tuple:
+        """Everything a predicate build appends to, in the field order of
+        :class:`CachedPredicateBuild`: version-name registrations (an
+        insertion-ordered dict), report notes, report warnings, the
+        mode-inference and cost-model warning lists, and cost-model
+        overrides."""
+        reorderer = self.reorderer
+        return (
+            reorderer._version_names,
+            reorderer.report._log,
+            reorderer.report.warnings,
+            reorderer.modes.warnings,
+            reorderer.model.warnings,
+            self.overrides,
+        )
+
+    def _mark(self) -> Tuple[int, ...]:
+        """The length of every stream, taken before a predicate build."""
+        return tuple(len(stream) for stream in self._streams())
+
+    def _capture(self, mark, versions: List[ModeVersion]) -> CachedPredicateBuild:
+        """What the build since ``mark`` appended to each stream."""
+        return CachedPredicateBuild(
+            versions,
+            *(_tail(stream, start) for stream, start in zip(self._streams(), mark)),
+        )
+
+    def _rollback(self, mark) -> None:
+        """Undo everything the build since ``mark`` did."""
+        reorderer = self.reorderer
+        undone = self._capture(mark, [])
+        for key, _name in undone.version_names:
+            del reorderer._version_names[key]
+        decisions = reorderer.report.decisions
+        for indicator, mode, _line in reversed(undone.notes):
+            notes = decisions[(indicator, mode)]
+            notes.pop()
+            if not notes:
+                del decisions[(indicator, mode)]
+        for indicator, mode, _stats in undone.overrides:
+            reorderer.model.remove_override(indicator, mode)
+        for stream, start in zip(self._streams()[1:], mark[1:]):
+            del stream[start:]
+
+    def _replay(self, build: CachedPredicateBuild) -> None:
+        """Apply a cached build's side effects as a fresh build would.
+        Its analysis warnings are not re-appended: the analyses already
+        hold them, and :meth:`run` reports them from the record."""
+        reorderer = self.reorderer
+        reorderer._version_names.update(build.version_names)
+        for indicator, mode, stats in build.overrides:
+            reorderer.model.override_stats(indicator, mode, stats)
+        self.overrides.extend(build.overrides)
+        for indicator, mode, line in build.notes:
+            reorderer.report.note(indicator, mode, line)
+        reorderer.report.warnings.extend(build.report_warnings)
 
     # -- failure isolation -------------------------------------------------
 
@@ -199,159 +191,63 @@ class ReorderPipeline:
         """Is this exception the *whole-run* budget giving out (which
         must propagate), rather than a per-predicate failure (which
         degrades)?"""
-        budget = self.state.budget
+        budget = self.reorderer.budget
         if budget is None or not isinstance(exc, BudgetExceededError):
             return False
         return budget.expired or (
             budget.token is not None and budget.token.cancelled
         )
 
-    def _snapshot(self) -> Tuple[int, int, int, int, int, int, int]:
-        """Lengths of every append-only stream a build mutates, taken
-        before the build so :meth:`_rollback` can truncate them."""
-        state = self.state
-        return (
-            len(state.report._log),
-            len(state.report.warnings),
-            len(state.modes.warnings),
-            len(state.model.warnings),
-            len(state.version_names),
-            len(state.run_modes_warnings),
-            len(state.run_model_warnings),
-        )
-
-    def _rollback(self, indicator: Indicator, snapshot) -> None:
-        """Undo every side effect of a failed build: report notes and
-        warnings, analysis warning streams, version-name registrations,
-        and cost-model overrides."""
-        state = self.state
-        (
-            log_start, warn_start, modes_start, model_start,
-            names_start, run_modes_start, run_model_start,
-        ) = snapshot
-        report = state.report
-        for ind, mode, _line in reversed(report._log[log_start:]):
-            notes = report.decisions.get((ind, mode))
-            if notes:
-                notes.pop()
-                if not notes:
-                    del report.decisions[(ind, mode)]
-        del report._log[log_start:]
-        del report.warnings[warn_start:]
-        del state.modes.warnings[modes_start:]
-        del state.model.warnings[model_start:]
-        del state.run_modes_warnings[run_modes_start:]
-        del state.run_model_warnings[run_model_start:]
-        for key in list(state.version_names.keys())[names_start:]:
-            del state.version_names[key]
-        for mode, _stats in state.current_overrides:
-            state.model.remove_override(indicator, mode)
-        state.current_overrides = []
-
-    def _degrade(self, indicator: Indicator, exc: Exception, snapshot) -> None:
+    def _degrade(
+        self, indicator: Indicator, exc: Exception, mark
+    ) -> CachedPredicateBuild:
         """Fall back to the predicate's source clauses after a failed
         build: roll back the build's side effects, register a verbatim
         version under the original name (exactly the shape the
         no-legal-modes path emits, so the output builder adds no
         dispatcher), and record the degradation."""
-        state = self.state
-        self._rollback(indicator, snapshot)
+        reorderer = self.reorderer
+        self._rollback(mark)
+        if self.context is not None:
+            # Its cached callers call versions that no longer exist, and
+            # the cost model may hold stats of those versions from an
+            # earlier run: rebuild the callers against the source
+            # clauses, keep them out of the cache, and give the next
+            # run a fresh cost model.
+            self.stale |= affected_predicates(reorderer.callgraph, {indicator})
+            self._forget_stats(indicator)
+            self.context.model = None
         reason = f"{type(exc).__name__}: {exc}"
         version = ModeVersion(
             indicator=indicator,
             mode=(),
             name=indicator[0],
-            clauses=list(state.database.clauses(indicator)),
+            clauses=list(reorderer.database.clauses(indicator)),
             estimate=None,
             original_estimate=None,
         )
-        state.version_names[(indicator, ())] = indicator[0]
-        state.current_versions = [version]
-        state.current_specialized = False
-        state.report.degraded[indicator] = reason
-        state.report.warnings.append(
+        reorderer._version_names[(indicator, ())] = indicator[0]
+        reorderer.report.degraded[indicator] = reason
+        reorderer.report.warnings.append(
             f"degraded {indicator[0]}/{indicator[1]} to source order: {reason}"
         )
-        if state.events is not None:
+        if reorderer.events is not None:
             from ...observability.events import DegradedEvent
 
-            state.events.emit(
+            reorderer.events.emit(
                 DegradedEvent(indicator=indicator, phase="build", reason=reason)
             )
+        return CachedPredicateBuild([version])
 
-    # -- one predicate, fresh ---------------------------------------------
+    def _forget_stats(self, indicator: Indicator) -> None:
+        """Drop the cost model's stats of every mode of ``indicator``."""
+        for mode in all_input_modes(indicator[1]):
+            self.reorderer.model.remove_override(indicator, mode)
 
-    def _build_fresh(self, indicator: Indicator) -> None:
-        """Run mode enumeration, version build and dedup for one
-        predicate, capturing every side effect for later replay when a
-        context is attached."""
-        state = self.state
-        caching = state.context is not None
-        log_start = len(state.report._log)
-        warn_start = len(state.report.warnings)
-        modes_start = len(state.modes.warnings)
-        model_start = len(state.model.warnings)
-        names_start = len(state.version_names)
-        state.current_overrides = []
 
-        self.mode_enumeration.run(state)
-        self.version_build.run(state)
-        self.version_dedup.run(state)
-
-        modes_delta = list(state.modes.warnings[modes_start:])
-        model_delta = list(state.model.warnings[model_start:])
-        state.run_modes_warnings.extend(modes_delta)
-        state.run_model_warnings.extend(model_delta)
-        if not caching:
-            return
-        # Capture this predicate's registrations in insertion order.
-        # Dedup rewrites names in place (no reinsertion), so slicing the
-        # ordered dict view from names_start is exact for new entries;
-        # a predicate is processed once, so all its entries are new.
-        new_names = [
-            (mode, name)
-            for (ind, mode), name in list(state.version_names.items())[names_start:]
-            if ind == indicator
-        ]
-        notes = [
-            (mode, line)
-            for (ind, mode, line) in state.report._log[log_start:]
-            if ind == indicator
-        ]
-        state.context.store_build(
-            indicator,
-            CachedPredicateBuild(
-                indicator=indicator,
-                versions=list(state.current_versions),
-                version_names=new_names,
-                notes=notes,
-                report_warnings=list(state.report.warnings[warn_start:]),
-                modes_warnings=modes_delta,
-                model_warnings=model_delta,
-                overrides=list(state.current_overrides),
-            ),
-        )
-
-    # -- one predicate, from cache ----------------------------------------
-
-    def _replay_cached(self, indicator: Indicator) -> bool:
-        """Serve one predicate from the context cache, replaying the
-        side effects a fresh build would have had. Returns False on a
-        miss (or when no context is attached)."""
-        state = self.state
-        if state.context is None:
-            return False
-        build = state.context.build_for(indicator)
-        if build is None:
-            return False
-        for mode, name in build.version_names:
-            state.version_names[(indicator, mode)] = name
-        for mode, stats in build.overrides:
-            state.model.override_stats(indicator, mode, stats)
-        for mode, line in build.notes:
-            state.report.note(indicator, mode, line)
-        state.report.warnings.extend(build.report_warnings)
-        state.run_modes_warnings.extend(build.modes_warnings)
-        state.run_model_warnings.extend(build.model_warnings)
-        state.current_versions = list(build.versions)
-        return True
+def _tail(stream, start: int) -> list:
+    """The entries appended to a list, or to an insertion-ordered dict
+    (as key/value pairs), since it held ``start`` of them."""
+    if isinstance(stream, dict):
+        return list(islice(reversed(stream.items()), len(stream) - start))[::-1]
+    return stream[start:]

@@ -20,7 +20,7 @@ from ...markov.goal_stats import GoalStats
 from ...prolog.database import Clause, Database
 from ...prolog.engine import Engine
 from ...prolog.terms import indicator_str
-from ...prolog.writer import program_to_string
+from ...prolog.writer import op_directives, program_to_string
 from ..goal_search import DEFAULT_EXHAUSTIVE_LIMIT
 
 __all__ = ["ReorderOptions", "ModeVersion", "ReorderReport", "ReorderedProgram"]
@@ -249,13 +249,16 @@ class ReorderedProgram:
     def source(self) -> str:
         """The reordered program as Prolog source text.
 
-        ``:- table`` directives are re-emitted first (under the
-        specialised version names), so consulting the printed program
-        reproduces the tabling behaviour of the in-memory one.
+        ``:- op`` directives for the program's own operators come
+        first, so the clauses parse, then ``:- table`` directives
+        (under the specialised version names), so consulting the
+        printed program reproduces the tabling behaviour of the
+        in-memory one.
         """
-        directives = "".join(
-            f":- table {name}/{arity}.\n"
+        operators = self.database.operators
+        directives = op_directives(operators) + [
+            f":- table {name}/{arity}."
             for name, arity in sorted(self.database.tabled)
-        )
-        body = program_to_string(self.database.to_terms(), self.database.operators)
-        return directives + body
+        ]
+        body = program_to_string(self.database.to_terms(), operators)
+        return "".join(line + "\n" for line in directives) + body

@@ -1,7 +1,7 @@
 """The reordering system (paper Fig. 3 and §VI-B-2).
 
-:class:`Reorderer` is the facade over the staged pipeline in
-:mod:`repro.reorder.pipeline`:
+:class:`Reorderer` holds the options and analyses of one reorder and
+runs it through :mod:`repro.reorder.pipeline`:
 
 1. read the program and its declarations;
 2. run the automatic analyses — call graph, entry points, recursion,
@@ -46,12 +46,11 @@ from .goal_search import SearchCounters
 from .pipeline import (
     AnalysisContext,
     ModeVersion,
-    PipelineState,
     ReorderOptions,
-    ReorderPipeline,
     ReorderReport,
     ReorderedProgram,
 )
+from .pipeline.runner import ReorderPipeline
 from .pipeline.types import Indicator
 
 __all__ = [
@@ -140,25 +139,7 @@ class Reorderer:
 
     def reorder(self) -> ReorderedProgram:
         """Run the pipeline and return the reordered program."""
-        state = PipelineState(
-            options=self.options,
-            database=self.database,
-            report=self.report,
-            spans=self.spans,
-            search_counters=self.search_counters,
-            declarations=self.declarations,
-            callgraph=self.callgraph,
-            fixity=self.fixity,
-            semifixity=self.semifixity,
-            modes=self.modes,
-            domains=self.domains,
-            model=self.model,
-            version_names=self._version_names,
-            context=self.context if self._cache_usable() else None,
-            budget=self.budget,
-            events=self.events,
-        )
-        return ReorderPipeline(state).run()
+        return ReorderPipeline(self).run()
 
     def _cache_usable(self) -> bool:
         """Build caching is sound only while this facade still runs on

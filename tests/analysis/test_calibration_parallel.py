@@ -24,6 +24,12 @@ loop(X) :- loop(X).
 ok(a). ok(b).
 """
 
+OPERATORS = """
+:- op(700, xfx, ===>).
+a ===> b. b ===> c.
+reach(X, Y) :- X ===> Y.
+"""
+
 
 def all_pairs(database):
     return [
@@ -43,6 +49,12 @@ class TestMeasurePairs:
             pairs, jobs=2
         )
         assert serial.failures == parallel.failures
+
+    def test_worker_source_declares_the_programs_operators(self):
+        # Workers re-read this text with the standard operator table.
+        database = Database.from_source(OPERATORS)
+        source = EmpiricalCalibrator(database)._program_source()
+        assert Database.from_source(source).predicates() == database.predicates()
 
     def test_parallel_failures_in_task_order(self):
         database = Database.from_source(DIVERGING)

@@ -62,3 +62,28 @@ def test_long_body_programs(seed):
 
 def test_prefix_minus_program():
     assert_rereads(Database.from_source(PREFIX_MINUS))
+
+
+#: Operators the program adds to the standard table, of each kind.
+USER_OPERATORS = """
+:- op(700, xfx, ===>).
+:- op(200, xfy, ^^).
+:- op(900, fy, nicht).
+A ===> B :- A = B.
+nicht X :- \\+ X.
+p(X, Z) :- X ===> a, nicht fail, Y = X ^^ b, Y = (_ ^^ Z).
+"""
+
+
+def test_user_operators_reread_without_a_table():
+    program = Reorderer(Database.from_source(USER_OPERATORS)).reorder()
+    source = program.source()
+    # No operator table is passed: the emitted ``:- op`` lines declare them.
+    reread = Database.from_source(source)
+    written = program.database.to_terms()
+    assert [variant_key(term) for term in reread.to_terms()] == [
+        variant_key(term) for term in written
+    ]
+    assert source.startswith(
+        ":- op(900, fy, nicht).\n:- op(700, xfx, ===>).\n:- op(200, xfy, ^^).\n"
+    )

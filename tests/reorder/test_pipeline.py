@@ -8,16 +8,14 @@ the output is byte-identical to a cold run.
 
 import json
 
+import pytest
+
 from repro.observability.events import CacheEvent, EventBus
 from repro.programs import REGISTRY
-from repro.prolog import Database
-from repro.reorder import (
-    AnalysisContext,
-    Reorderer,
-    ReorderOptions,
-    ReorderPipeline,
-)
+from repro.prolog import Database, Engine
+from repro.reorder import AnalysisContext, Reorderer, ReorderOptions
 from repro.reorder.pipeline.context import ANALYSIS_STAGES, BUILD_STAGE
+from repro.robustness import faults
 
 SMALL = """
 p(X) :- q(X), r(X).
@@ -124,6 +122,75 @@ class TestIncrementalInvalidation:
         assert BUILD_STAGE not in context.hits
 
 
+#: program -> (edited predicate, predicates, dirty, affected, build
+#: hits, build misses) of one no-op edit and re-reorder.
+EDIT_COUNTERS = {
+    "family_tree": (("wife", 2), 15, 1, 11, 4, 11),
+    "corporate": (("employee", 2), 15, 1, 5, 10, 5),
+    "meal": (("meal", 3), 4, 1, 1, 3, 1),
+    "geography": (("borders", 2), 9, 1, 4, 5, 4),
+}
+
+
+class TestEditCounters:
+    @pytest.mark.parametrize("name", sorted(EDIT_COUNTERS))
+    def test_edit_rebuilds_exactly_the_closure(self, name):
+        edited, predicates, dirty, affected, hits, misses = EDIT_COUNTERS[name]
+        source = REGISTRY[name].source()
+        database = Database.from_source(source)
+        context = AnalysisContext(database)
+        reorder_with(database, context)
+        database.replace_predicate(edited, database.clauses(edited))
+        context.reset_counters()
+        incremental = reorder_with(database, context)
+        assert len(database.predicates()) == predicates
+        assert len(context.last_dirty) == dirty
+        assert len(context.last_affected) == affected
+        assert context.hits.get(BUILD_STAGE, 0) == hits
+        assert context.misses.get(BUILD_STAGE, 0) == misses
+        cold = Reorderer(Database.from_source(source)).reorder()
+        assert fingerprint(incremental) == fingerprint(cold)
+
+
+#: ``hop/2`` is the third predicate built (base, link, hop, top).
+DEGRADE = """
+:- entry(top/2).
+base(a, b). base(b, c). base(c, d). base(d, e).
+link(X, Y) :- base(X, Y).
+hop(X, Z) :- link(X, Y), link(Y, Z).
+top(X, Z) :- hop(X, Z), base(Z, _).
+"""
+
+
+def reorder_under_fault(database, context=None):
+    faults.install_from_spec("phase.build:raise@3")
+    try:
+        return Reorderer(database, context=context).reorder()
+    finally:
+        faults.clear()
+
+
+class TestDegradeDuringWarmRun:
+    def test_callers_of_a_degraded_predicate_rebuild(self):
+        database = Database.from_source(DEGRADE)
+        context = AnalysisContext(database)
+        reorder_with(database, context)
+        warm = reorder_under_fault(database, context)
+        assert list(warm.report.degraded) == [("hop", 2)]
+        engine = Engine(Database.from_source(warm.source()))
+        assert [str(s["Z"]) for s in engine.ask("top(a, Z)")] == ["c"]
+        cold = reorder_under_fault(Database.from_source(DEGRADE))
+        assert fingerprint(warm) == fingerprint(cold)
+
+    def test_builds_made_around_a_degrade_are_not_cached(self):
+        database = Database.from_source(DEGRADE)
+        context = AnalysisContext(database)
+        reorder_under_fault(database, context)
+        healthy = reorder_with(database, context)
+        cold = Reorderer(Database.from_source(DEGRADE)).reorder()
+        assert fingerprint(healthy) == fingerprint(cold)
+
+
 class TestObservability:
     def test_cache_events_emitted(self):
         database = Database.from_source(SMALL)
@@ -180,16 +247,3 @@ class TestFacadeSafety:
             pass
         else:
             raise AssertionError("expected ValueError for foreign context")
-
-
-class TestPhaseDeclarations:
-    def test_phases_declare_names_inputs_outputs(self):
-        pipeline = ReorderPipeline(None)
-        names = [phase.name for phase in pipeline.phases]
-        assert len(names) == len(set(names)) == 10
-        for phase in pipeline.phases:
-            assert isinstance(phase.name, str) and phase.name
-            assert isinstance(phase.inputs, tuple)
-            assert isinstance(phase.outputs, tuple)
-            assert all(isinstance(item, str) for item in phase.inputs)
-            assert all(isinstance(item, str) for item in phase.outputs)
