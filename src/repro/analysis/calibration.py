@@ -29,11 +29,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import PrologError
 from ..markov.goal_stats import GoalStats
-from ..observability.streaming import (
-    StreamAggregates,
-    StreamingRecorder,
-    attach_recorder,
-)
 from ..prolog.database import Database
 from ..prolog.engine import Engine
 from ..prolog.terms import Atom, Struct, Term, Var, deref, is_number
@@ -73,32 +68,21 @@ def _calibration_worker_init(
 
 def _calibration_worker_measure(
     pair: Tuple[Indicator, Mode]
-) -> Tuple[Optional[GoalStats], bool, Optional[Dict[str, object]]]:
+) -> Tuple[Optional[GoalStats], bool]:
     """Pool task: measure one (indicator, mode) pair.
 
-    Returns ``(stats, failed, aggregates_payload)`` so the parent can
-    rebuild its own ``failures`` list *and* merge the task's streaming
-    aggregates in deterministic task order. The worker's aggregate
-    state is reset per task, so each payload carries exactly this
-    pair's boxes — merging them in task order reproduces the serial
-    accumulation exactly (up to wall-clock histogram buckets, which
-    are measurements and vary between any two runs).
+    Returns ``(stats, failed)`` so the parent can rebuild its own
+    ``failures`` list in deterministic task order.
     """
     assert _WORKER is not None
     before = len(_WORKER.failures)
-    _WORKER.aggregates = StreamAggregates()
     stats = _WORKER.measure(*pair)
-    payload = (
-        _WORKER.aggregates.to_payload()
-        if _WORKER.options.collect_aggregates
-        else None
-    )
-    return stats, len(_WORKER.failures) > before, payload
+    return stats, len(_WORKER.failures) > before
 
 
 def _calibration_worker_task(
     index: int, pair: Tuple[Indicator, Mode]
-) -> Tuple[Optional[GoalStats], bool, Optional[Dict[str, object]]]:
+) -> Tuple[Optional[GoalStats], bool]:
     """Watchdog task: one measurement, with its fault site.
 
     The fault site is keyed by the *task index* (not a per-process
@@ -132,11 +116,6 @@ class CalibrationOptions:
     task_retries: int = 1
     #: Base backoff before a retry, seconds (doubles per attempt).
     task_backoff: float = 0.05
-    #: Also collect streaming per-(predicate, mode) aggregates from the
-    #: sample runs (:attr:`EmpiricalCalibrator.aggregates`): workers
-    #: ship their partial aggregates back as mergeable payloads, so the
-    #: measured distribution feeds the live stats store for free.
-    collect_aggregates: bool = False
 
 
 class EmpiricalCalibrator:
@@ -160,11 +139,6 @@ class EmpiricalCalibrator:
         #: re-measured serially under a deadline; the quarantine is
         #: still surfaced through :meth:`quarantine_warnings`.
         self.quarantined: List[Tuple[Tuple[Indicator, Mode], str]] = []
-        #: Streaming aggregates accumulated from the sample runs (only
-        #: when ``options.collect_aggregates``); parallel workers ship
-        #: partial aggregates back for a deterministic task-order
-        #: merge, so any ``jobs`` value produces the same state here.
-        self.aggregates = StreamAggregates()
         # One recursion-limit check up front; the (many, short-lived)
         # per-sample engines then skip it entirely.
         Engine.ensure_recursion_capacity(self.options.max_depth)
@@ -236,9 +210,6 @@ class EmpiricalCalibrator:
         queries = self.sample_queries(indicator, mode)
         if not queries:
             return None
-        recorder = (
-            StreamingRecorder() if self.options.collect_aggregates else None
-        )
         total_calls = 0
         total_solutions = 0
         successes = 0
@@ -250,8 +221,6 @@ class EmpiricalCalibrator:
                 adjust_recursion_limit=False,
                 budget=budget,
             )
-            if recorder is not None:
-                attach_recorder(engine, recorder)
             try:
                 solutions, metrics = engine.run(query)
             except PrologError:
@@ -261,10 +230,6 @@ class EmpiricalCalibrator:
             total_solutions += len(solutions)
             if solutions:
                 successes += 1
-        if recorder is not None:
-            # Only successful pairs contribute: a failed pair returned
-            # above, keeping serial and parallel accumulation identical.
-            self.aggregates += recorder.aggregates
         count = len(queries)
         return GoalStats(
             cost=max(1.0, total_calls / count),
@@ -347,11 +312,9 @@ class EmpiricalCalibrator:
                     )
                 )
                 continue
-            stats, failed, payload = outcome.result
+            stats, failed = outcome.result
             if failed:
                 self.failures.append(pair)
-            if payload is not None:
-                self.aggregates += StreamAggregates.from_payload(payload)
             results.append(stats)
         return results
 

@@ -25,7 +25,6 @@ from .formulas import (
 )
 from .goal_stats import GoalStats
 from .predicate_model import CostModel, head_match_probability
-from .stats_store import StatsStore
 
 __all__ = [
     "AllSolutionsResult",
@@ -34,7 +33,6 @@ __all__ = [
     "CostModel",
     "GoalStats",
     "SequenceEvaluation",
-    "StatsStore",
     "all_solutions_analysis",
     "all_solutions_cost_closed_form",
     "all_solutions_matrix",

@@ -5,11 +5,10 @@ All optional and zero-overhead when unused:
 * :mod:`.streaming` — the per-call channel: ``engine.recorder`` holds a
   :class:`~.streaming.recorder.StreamingRecorder` (sampled for
   always-on use, ``sample_every=1`` for exhaustive profiling) whose
-  Byrd boxes feed mergeable per-(predicate, mode) aggregates, drift
+  Byrd boxes feed per-(predicate, mode) aggregates, drift
   reports and Perfetto export;
 * :mod:`.events` — a typed bus for the low-rate structural events
-  (index lookups, tables, strata, caches, budgets, faults, server
-  requests);
+  (index lookups, tables, strata, server requests);
 * :mod:`.spans`  — accumulating wall-clock timers over the ten
   reordering-pipeline phases;
 * :mod:`.drift`  — predicted-vs-observed statistics per (predicate,
@@ -26,7 +25,6 @@ it as ``from repro.observability.drift import DriftReporter``.
 """
 
 from .events import (
-    CacheEvent,
     Event,
     EventBus,
     IndexEvent,
@@ -53,7 +51,6 @@ __all__ = [
     "EventBus",
     "IndexEvent",
     "TableEvent",
-    "CacheEvent",
     "attach",
     "detach",
     "PIPELINE_PHASES",

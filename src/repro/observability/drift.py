@@ -59,6 +59,9 @@ __all__ = [
 
 Indicator = Tuple[str, int]
 
+#: Flag when |predicted - observed| success probability exceeds this.
+PROB_TOLERANCE = 0.25
+
 
 def compare_estimates(
     observed_cost: float,
@@ -83,7 +86,7 @@ def compare_estimates(
     if ratio >= factor or ratio <= 1.0 / factor:
         direction = "under" if ratio > 1.0 else "over"
         reasons.append(f"cost {direction}estimated x{max(ratio, 1 / ratio):.1f}")
-    if abs(prob_delta) > options.prob_tolerance:
+    if abs(prob_delta) > PROB_TOLERANCE:
         reasons.append(f"success probability off by {prob_delta:+.2f}")
     return ratio, prob_delta, reasons
 
@@ -95,8 +98,6 @@ class DriftOptions:
     #: Flag when predicted and observed cost differ by this factor
     #: (either direction, with +1 smoothing on both sides).
     cost_factor: float = 3.0
-    #: Flag when |predicted - observed| success probability exceeds this.
-    prob_tolerance: float = 0.25
 
 
 @dataclass

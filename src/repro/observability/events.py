@@ -3,7 +3,7 @@
 The paper's whole methodology is counting — "the number of predicate
 calls or unifications; CPU time is too coarse a measure" (§I-B) — but
 scalar counters cannot say whether the clause index actually narrowed
-anything, what the tabling subsystem did, or where a budget ran out.
+anything, what the tabling subsystem did, or how a server request went.
 The event bus records a structured stream of those low-rate facts.
 Per-call data (Byrd boxes, cost, solutions, wall time) does not come
 through here: it has one channel, ``engine.recorder`` (see
@@ -36,10 +36,6 @@ __all__ = [
     "IndexEvent",
     "TableEvent",
     "StratumEvent",
-    "CacheEvent",
-    "BudgetEvent",
-    "DegradedEvent",
-    "FaultEvent",
     "RequestEvent",
     "EventBus",
     "attach",
@@ -146,71 +142,6 @@ class StratumEvent(Event):
         record["predicates"] = list(self.predicates)
         record["delta_sizes"] = list(self.delta_sizes)
         return record
-
-
-@dataclass
-class CacheEvent(Event):
-    """One AnalysisContext cache consultation by the reorder pipeline.
-
-    ``stage`` names the cached artefact (an analysis stage such as
-    ``"fixity"``, a per-predicate ``"version build"``, or a
-    ``"calibration"`` measurement); ``hit`` says whether it was served
-    from cache or recomputed. Whole-program stages carry no
-    ``indicator``.
-    """
-
-    kind = "cache"
-
-    stage: str
-    hit: bool
-    indicator: Optional[Indicator] = None
-
-
-@dataclass
-class BudgetEvent(Event):
-    """A resource budget ran out (see :class:`repro.robustness.Budget`).
-
-    ``what`` names the exhausted bound (``deadline``, ``calls``,
-    ``steps``, ``cancelled``); ``site`` is the charge site that noticed
-    (``engine.call``, ``engine.step``, ``tabling.fixpoint``,
-    ``goal_search.astar``, ...).
-    """
-
-    kind = "budget"
-
-    what: str
-    site: str
-
-
-@dataclass
-class DegradedEvent(Event):
-    """The reorder pipeline degraded one predicate to source order.
-
-    Emitted by the per-predicate failure isolation: ``phase`` is where
-    the build failed (currently always ``build``), ``reason`` the
-    one-line exception description. All other predicates are unaffected.
-    """
-
-    kind = "degraded"
-
-    indicator: Indicator
-    phase: str
-    reason: str
-
-
-@dataclass
-class FaultEvent(Event):
-    """An injected fault fired (:mod:`repro.robustness.faults`).
-
-    ``site`` is the fault site, ``action`` the fault kind
-    (``raise`` / ``hang`` / ``exhaust``). Only ever emitted while a
-    fault plan is installed — never in production runs.
-    """
-
-    kind = "fault"
-
-    site: str
-    action: str
 
 
 @dataclass

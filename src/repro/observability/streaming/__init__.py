@@ -1,4 +1,4 @@
-"""The per-call telemetry channel: bounded, mergeable, safe to leave on.
+"""The per-call telemetry channel: bounded and safe to leave on.
 
 The engine's one per-call instrumentation slot (``engine.recorder``)
 holds a recorder from this package — sampled for continuous use, or
@@ -6,8 +6,8 @@ holds a recorder from this package — sampled for continuous use, or
 Byrd boxes reads from it:
 
 * :mod:`.ring`      — bounded retention (ring buffer, reservoir sampler);
-* :mod:`.aggregate` — mergeable per-(predicate, mode) online counters
-  and log-bucketed histograms with p50/p95/p99;
+* :mod:`.aggregate` — per-(predicate, mode) online counters and
+  log-bucketed histograms with p50/p95/p99;
 * :mod:`.recorder`  — the engine hook (``engine.recorder``): 1-in-N
   plus rare-predicate sampling (or every box), exact call counts, no
   event objects on the hot path;

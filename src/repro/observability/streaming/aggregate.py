@@ -1,18 +1,12 @@
-"""Streaming per-(predicate, mode) aggregates with mergeable state.
+"""Streaming per-(predicate, mode) aggregates.
 
 This module keeps, per runtime mode of each predicate, the three
 quantities the Markov model predicts — cost in calls, solution
 count, success probability (paper §VI-A) — as *online* counters plus
 log-bucketed histograms, O(1) per completed Byrd box and O(predicates)
 in memory, in the spirit of Ledeniov & Markovitch's per-mode cached
-subgoal statistics.
-
-Everything merges: histograms, per-mode aggregates and whole
-:class:`StreamAggregates` support ``+``, and round-trip through plain
-picklable payloads (``to_payload``/``from_payload``). That is what lets
-``robustness/watchdog.py`` calibration workers and ``--jobs`` pools
-ship partial aggregates back to the parent for a deterministic
-task-order merge, exactly like the calibrator's measurement results.
+subgoal statistics. Histograms and per-mode aggregates serialise to
+plain dicts (``to_payload``) for fixtures and exports.
 """
 
 from __future__ import annotations
@@ -107,22 +101,6 @@ class LogHistogram:
             "p99": self.percentile(0.99),
         }
 
-    def __add__(self, other: "LogHistogram") -> "LogHistogram":
-        """Order-independent merge of two histograms (same scale)."""
-        merged = LogHistogram(self.scale)
-        merged.buckets = dict(self.buckets)
-        for bucket, count in other.buckets.items():
-            merged.buckets[bucket] = merged.buckets.get(bucket, 0) + count
-        merged.count = self.count + other.count
-        merged.total = self.total + other.total
-        for low in (self.min, other.min):
-            if low is not None and (merged.min is None or low < merged.min):
-                merged.min = low
-        for high in (self.max, other.max):
-            if high is not None and (merged.max is None or high > merged.max):
-                merged.max = high
-        return merged
-
     def to_payload(self) -> Dict[str, object]:
         """The histogram as one picklable/JSON-able dict."""
         return {
@@ -134,20 +112,6 @@ class LogHistogram:
             "scale": self.scale,
         }
 
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "LogHistogram":
-        """Rebuild a histogram from :meth:`to_payload` output."""
-        histogram = cls(payload.get("scale", 1.0))
-        histogram.buckets = {
-            int(bucket): count
-            for bucket, count in payload.get("buckets", {}).items()
-        }
-        histogram.count = payload.get("count", 0)
-        histogram.total = payload.get("total", 0.0)
-        histogram.min = payload.get("min")
-        histogram.max = payload.get("max")
-        return histogram
-
     def __len__(self) -> int:
         return self.count
 
@@ -157,8 +121,7 @@ class ModeAggregate:
 
     Counts completed Byrd boxes ("invocations" in the drift reporter's
     vocabulary) and histograms the three per-box measurements: cost in
-    calls, solutions produced, and boxed wall time. Mergeable with
-    ``+`` and payload round-trips for cross-process shipping.
+    calls, solutions produced, and boxed wall time.
     """
 
     __slots__ = ("boxes", "successes", "solutions", "cost", "wall", "yields")
@@ -205,17 +168,6 @@ class ModeAggregate:
         """Fraction of boxes that exited at least once (the model's ``p``)."""
         return self.successes / self.boxes if self.boxes else 0.0
 
-    def __add__(self, other: "ModeAggregate") -> "ModeAggregate":
-        """Order-independent merge of two aggregates."""
-        merged = ModeAggregate()
-        merged.boxes = self.boxes + other.boxes
-        merged.successes = self.successes + other.successes
-        merged.solutions = self.solutions + other.solutions
-        merged.cost = self.cost + other.cost
-        merged.yields = self.yields + other.yields
-        merged.wall = self.wall + other.wall
-        return merged
-
     def to_payload(self) -> Dict[str, object]:
         """The aggregate as one picklable/JSON-able dict."""
         return {
@@ -227,19 +179,6 @@ class ModeAggregate:
             "wall": self.wall.to_payload(),
         }
 
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "ModeAggregate":
-        """Rebuild an aggregate from :meth:`to_payload` output."""
-        aggregate = cls()
-        aggregate.boxes = payload.get("boxes", 0)
-        aggregate.successes = payload.get("successes", 0)
-        aggregate.solutions = payload.get("solutions", 0)
-        aggregate.cost = LogHistogram.from_payload(payload.get("cost", {}))
-        aggregate.yields = LogHistogram.from_payload(payload.get("yields", {}))
-        aggregate.wall = LogHistogram.from_payload(payload.get("wall", {}))
-        return aggregate
-
-
 class StreamAggregates:
     """All per-(predicate, mode) aggregates of one telemetry stream.
 
@@ -248,8 +187,7 @@ class StreamAggregates:
     engines' own call metrics; standalone users can charge it through
     :meth:`record_call`), while the per-mode :class:`ModeAggregate`
     entries hold the *sampled* boxes — so ``sampled_rate`` is always
-    known and consumers can scale. Merge whole objects with ``+``
-    (sums both levels) and ship them across processes via payloads.
+    known and consumers can scale.
     """
 
     __slots__ = ("total_calls", "_modes")
@@ -310,45 +248,6 @@ class StreamAggregates:
         total = sum(self.total_calls.values())
         sampled = sum(aggregate.boxes for aggregate in self._modes.values())
         return sampled / total if total else 1.0
-
-    def __add__(self, other: "StreamAggregates") -> "StreamAggregates":
-        """Order-independent merge of two aggregate sets."""
-        merged = StreamAggregates()
-        merged.total_calls = dict(self.total_calls)
-        for indicator, count in other.total_calls.items():
-            merged.total_calls[indicator] = (
-                merged.total_calls.get(indicator, 0) + count
-            )
-        merged._modes = dict(self._modes)
-        for key, aggregate in other._modes.items():
-            mine = merged._modes.get(key)
-            merged._modes[key] = aggregate if mine is None else mine + aggregate
-        return merged
-
-    def to_payload(self) -> Dict[str, object]:
-        """The whole aggregate set as one picklable dict."""
-        return {
-            "total_calls": [
-                [name, arity, count]
-                for (name, arity), count in self.total_calls.items()
-            ],
-            "modes": [
-                [name, arity, mode_text, aggregate.to_payload()]
-                for ((name, arity), mode_text), aggregate in self._modes.items()
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "StreamAggregates":
-        """Rebuild an aggregate set from :meth:`to_payload` output."""
-        aggregates = cls()
-        for name, arity, count in payload.get("total_calls", []):
-            aggregates.total_calls[(name, arity)] = count
-        for name, arity, mode_text, entry in payload.get("modes", []):
-            aggregates._modes[((name, arity), mode_text)] = (
-                ModeAggregate.from_payload(entry)
-            )
-        return aggregates
 
     def to_records(self) -> List[Dict[str, object]]:
         """One ``{"type": "stream"}`` JSONL record per (predicate, mode),

@@ -86,7 +86,7 @@ class ReservoirSampler(Generic[T]):
     being retained — which is exactly the guarantee the ring buffer
     lacks: a predicate called once an hour survives here even when the
     ring has long since recycled. The RNG is seeded, so a given stream
-    always retains the same sample (deterministic tests and merges).
+    always retains the same sample (deterministic tests).
     """
 
     __slots__ = ("items", "capacity", "seen", "_random")

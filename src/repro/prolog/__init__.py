@@ -22,7 +22,7 @@ from .database import (
 from .engine import Engine, Frame, Solution
 from .metrics import Metrics
 from .reader.operators import OperatorTable, standard_operators
-from .reader.parser import Parser, parse_program, parse_term, parse_terms
+from .reader.parser import Parser, parse_term, parse_terms
 from .terms import (
     Atom,
     Struct,
@@ -75,7 +75,6 @@ __all__ = [
     "is_number",
     "list_to_python",
     "make_list",
-    "parse_program",
     "parse_term",
     "parse_terms",
     "program_to_string",

@@ -191,10 +191,6 @@ def _general_arg_key(term: Term):
     return (term.name, term.arity)
 
 
-#: Backwards-compatible private alias (pre-compile-layer name).
-_first_arg_key = first_arg_key
-
-
 class Database:
     """All clauses of a program, grouped by predicate.
 
@@ -487,7 +483,7 @@ class Database:
         position = self._index_position[indicator]
         key = (
             keys[position] if keys is not None
-            else _first_arg_key(args[position])
+            else first_arg_key(args[position])
         )
         if key is None:  # unbound call argument: every clause may match
             if self.events is not None:
@@ -534,7 +530,7 @@ class Database:
         best_size = total + 1
         best_position = -1
         for position, arg in enumerate(args):
-            key = keys[position] if keys is not None else _first_arg_key(arg)
+            key = keys[position] if keys is not None else first_arg_key(arg)
             if key is None:
                 continue
             buckets = positions.get(position)
@@ -586,7 +582,7 @@ class Database:
             head = deref(clause.head)
             assert isinstance(head, Struct)
             buckets.setdefault(
-                _first_arg_key(head.args[position]), []
+                first_arg_key(head.args[position]), []
             ).append(clause)
         return buckets
 
@@ -620,7 +616,7 @@ class Database:
         for clause in clauses:
             head = deref(clause.head)
             assert isinstance(head, Struct)
-            head_key = _first_arg_key(head.args[0])
+            head_key = first_arg_key(head.args[0])
             if head_key is None or head_key == key:
                 steps.append((skipped, clause))
                 skipped = 0
@@ -646,7 +642,7 @@ class Database:
             for clause in clauses:
                 head = deref(clause.head)
                 assert isinstance(head, Struct)
-                keys.add(_first_arg_key(head.args[position]))
+                keys.add(first_arg_key(head.args[position]))
             # A None key (variable argument) matches everything: it
             # hurts selectivity, so count distinct concrete keys only.
             selectivity = len(keys - {None}) - (10 * (None in keys))
@@ -663,7 +659,7 @@ class Database:
         for clause in clauses:
             head = deref(clause.head)
             assert isinstance(head, Struct)
-            key = _first_arg_key(head.args[position])
+            key = first_arg_key(head.args[position])
             buckets.setdefault(key, []).append(clause)
         self._index[indicator] = buckets
         return buckets

@@ -209,8 +209,8 @@ class Engine:
         #: Input queue for read/1 and get0/1.
         self.input_terms: Deque[Term] = deque()
         #: Optional event bus for the low-rate structural events (index,
-        #: table, stratum, budget, ...; see
-        #: :mod:`repro.observability.events`). Never consulted per call.
+        #: table, stratum; see :mod:`repro.observability.events`). Never
+        #: consulted per call.
         self.events: Optional[EventBus] = None
         #: The one per-call instrumentation slot: anything with the
         #: recorder's box hooks — a sampled or full-rate

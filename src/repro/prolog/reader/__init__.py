@@ -2,7 +2,7 @@
 
 from .lexer import tokenize
 from .operators import OpDef, OperatorTable, standard_operators
-from .parser import Parser, parse_program, parse_term, parse_terms
+from .parser import Parser, parse_term, parse_terms
 from .tokens import Token, TokenType
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "Parser",
     "Token",
     "TokenType",
-    "parse_program",
     "parse_term",
     "parse_terms",
     "standard_operators",

@@ -4,7 +4,7 @@ Turns token streams into :mod:`repro.prolog.terms` terms. The entry
 points are:
 
 * :func:`parse_term` — one term from a string (no trailing ``.``);
-* :func:`parse_program` — a whole program: a list of clause/directive
+* :func:`parse_terms` — a whole program: a list of clause/directive
   terms, each terminated by ``.``;
 * :class:`Parser` — the incremental interface.
 
@@ -20,12 +20,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ...errors import PrologSyntaxError
-from ..terms import Atom, Struct, Term, Var, make_list
+from ..terms import Atom, Struct, Term, Var, is_proper_list, list_to_python, make_list
 from .lexer import tokenize
 from .operators import MAX_PRIORITY, OperatorTable, standard_operators
 from .tokens import Token, TokenType
 
-__all__ = ["Parser", "parse_term", "parse_program", "parse_terms"]
+__all__ = ["Parser", "parse_term", "parse_terms"]
 
 #: Priority at which arguments of a compound term / list elements are
 #: parsed: just below the priority of ',' so commas separate arguments.
@@ -272,9 +272,10 @@ class Parser:
         return term
 
     def _maybe_apply_op_directive(self, term: Term) -> None:
-        """Apply a ``:- op(Priority, Type, Name)`` directive so later
-        clauses in the same read parse with the new operator (standard
-        Prolog behaviour)."""
+        """Apply a ``:- op(Priority, Type, Names)`` directive, where
+        ``Names`` is an atom or a list of atoms, so later clauses in the
+        same read parse with the new operators (standard Prolog
+        behaviour)."""
         if not (isinstance(term, Struct) and term.indicator == (":-", 1)):
             return
         directive = term.args[0]
@@ -282,26 +283,24 @@ class Parser:
             isinstance(directive, Struct) and directive.indicator == ("op", 3)
         ):
             return
-        priority, op_type, name = directive.args
-        if (
-            isinstance(priority, int)
-            and isinstance(op_type, Atom)
-            and isinstance(name, Atom)
-        ):
-            try:
-                self.operators.add(priority, op_type.name, name.name)
-            except ValueError as error:
-                raise PrologSyntaxError(f"bad op/3 directive: {error}")
+        priority, op_type, names = directive.args
+        if not (isinstance(priority, int) and isinstance(op_type, Atom)):
+            return
+        for name in list_to_python(names) if is_proper_list(names) else [names]:
+            if isinstance(name, Atom):
+                try:
+                    self.operators.add(priority, op_type.name, name.name)
+                except ValueError as error:
+                    raise PrologSyntaxError(f"bad op/3 directive: {error}")
 
-    def read_program(self, apply_op_directives: bool = True) -> List[Term]:
+    def read_program(self) -> List[Term]:
         """Read clauses until EOF, honouring ``:- op/3`` along the way."""
         clauses = []
         while True:
             term = self.read_term()
             if term is None:
                 return clauses
-            if apply_op_directives:
-                self._maybe_apply_op_directive(term)
+            self._maybe_apply_op_directive(term)
             clauses.append(term)
 
 
@@ -327,8 +326,3 @@ def parse_term(text: str, operators: Optional[OperatorTable] = None) -> Term:
 def parse_terms(text: str, operators: Optional[OperatorTable] = None) -> List[Term]:
     """Parse all ``.``-terminated terms in ``text``."""
     return Parser(text, operators).read_program()
-
-
-def parse_program(text: str, operators: Optional[OperatorTable] = None) -> List[Term]:
-    """Alias of :func:`parse_terms`, named for intent."""
-    return parse_terms(text, operators)

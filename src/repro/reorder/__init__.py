@@ -11,7 +11,6 @@ from .goal_search import (
     exhaustive_search,
     find_best_order,
 )
-from .legality import legal_orders, order_is_legal, propagate_order
 from .restrictions import Block, BlockPartition, goal_is_mobile, order_constraints, partition_body
 from .specialize import (
     build_dispatcher,
@@ -54,13 +53,10 @@ __all__ = [
     "find_best_order",
     "goal_is_mobile",
     "heads_mutually_exclusive",
-    "legal_orders",
     "mode_suffix",
     "order_clauses",
     "order_constraints",
-    "order_is_legal",
     "partition_body",
-    "propagate_order",
     "rename_goal",
     "specialized_indicator",
     "specialized_name",

@@ -2,21 +2,20 @@
 
 :class:`AnalysisContext` owns everything the pipeline derives from the
 program — declarations, call graph, fixity, semifixity, inferred modes,
-domains, the Markov cost model, calibrated measurements, and the
-per-predicate build results — keyed by the database's generation
-counter. :meth:`refresh` compares the database's per-predicate
-generation watermarks against the last snapshot, computes the dirty
-predicate set, widens it to the invalidation closure (each dirty
-predicate's SCC plus its transitive callers — see
+domains, the Markov cost model, and the per-predicate build results —
+keyed by the database's generation counter and the reorder options.
+:meth:`refresh` compares the database's per-predicate generation
+watermarks against the last snapshot, computes the dirty predicate
+set, widens it to the invalidation closure (each dirty predicate's SCC
+plus its transitive callers — see
 :func:`repro.analysis.recursion.affected_predicates`), and drops only
-the affected cached builds and measurements. Re-reordering after
-editing one predicate therefore recomputes only that SCC and its
-callers; everything else replays from cache.
+the affected cached builds. Re-reordering after editing one predicate
+therefore recomputes only that SCC and its callers; everything else
+replays from cache.
 
 Every cache consultation is counted (:attr:`hits`/:attr:`misses` per
-stage), optionally emitted on the event bus as
-:class:`~repro.observability.events.CacheEvent`, and surfaced through
-the existing pipeline spans (``cache="hit"|"miss"`` span metadata).
+stage) and surfaced through the existing pipeline spans
+(``cache="hit"|"miss"`` span metadata).
 """
 
 from __future__ import annotations
@@ -25,17 +24,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ...analysis.callgraph import CallGraph
-from ...analysis.declarations import CostDeclaration, Declarations
+from ...analysis.declarations import Declarations
 from ...analysis.domains import DomainAnalysis
 from ...analysis.fixity import FixityAnalysis
 from ...analysis.mode_inference import ModeInference
-from ...analysis.modes import Mode, all_input_modes
+from ...analysis.modes import Mode
 from ...analysis.recursion import affected_predicates
 from ...analysis.semifixity import SemifixityAnalysis
 from ...markov.goal_stats import GoalStats
 from ...markov.predicate_model import CostModel
-from ...markov.stats_store import StatsStore
-from ...observability.events import CacheEvent, EventBus
 from ...observability.spans import SpanRecorder
 from ...prolog.database import Database
 from ...prolog.terms import indicator_str
@@ -55,8 +52,6 @@ ANALYSIS_STAGES = (
 
 #: Counter key for the per-predicate build cache.
 BUILD_STAGE = "version build"
-#: Counter key for calibrated measurements.
-CALIBRATION_STAGE = "calibration"
 
 
 @dataclass
@@ -103,14 +98,11 @@ class AnalysisContext:
         self,
         database: Database,
         declarations: Optional[Declarations] = None,
-        events: Optional[EventBus] = None,
     ):
         self.database = database
         #: User-supplied declarations (None = read from the database on
         #: every refresh, like the pre-pipeline Reorderer did).
         self._declared = declarations
-        #: Optional event bus receiving a CacheEvent per consultation.
-        self.events = events
         # Derived analyses (populated by refresh()).
         self.declarations: Optional[Declarations] = None
         self.callgraph: Optional[CallGraph] = None
@@ -119,11 +111,6 @@ class AnalysisContext:
         self.modes: Optional[ModeInference] = None
         self.domains: Optional[DomainAnalysis] = None
         self.model: Optional[CostModel] = None
-        #: Calibrated (measured) GoalStats, surviving edits to
-        #: unaffected predicates.
-        self.calibrated = StatsStore()
-        #: Failure lines of the most recent calibrate() call.
-        self.last_calibration_failures: List[str] = []
         # Cache bookkeeping.
         self.generation: Optional[int] = None
         self._marks: Dict[Indicator, int] = {}
@@ -138,13 +125,9 @@ class AnalysisContext:
 
     # -- counters ---------------------------------------------------------
 
-    def _count(
-        self, stage: str, hit: bool, indicator: Optional[Indicator] = None
-    ) -> None:
+    def _count(self, stage: str, hit: bool) -> None:
         tally = self.hits if hit else self.misses
         tally[stage] = tally.get(stage, 0) + 1
-        if self.events is not None:
-            self.events.emit(CacheEvent(stage=stage, hit=hit, indicator=indicator))
 
     def reset_counters(self) -> None:
         """Zero the hit/miss tallies (typically between reorder runs)."""
@@ -173,10 +156,11 @@ class AnalysisContext:
 
         Unchanged database + unchanged options is a pure cache hit.
         Otherwise the per-predicate watermarks yield the dirty set,
-        which is widened to its invalidation closure; affected builds
-        and measurements are dropped, and the whole-program analyses are
-        rebuilt only when the program text actually changed (an options
-        change alone reuses them and rebuilds just the cost model).
+        which is widened to its invalidation closure and its builds are
+        dropped. The whole-program analyses are rebuilt when the program
+        text or the options changed: their warnings are emitted once per
+        analysis object, so a build made under new options needs fresh
+        analyses to report the same warnings as a cold run.
         """
         options = options or ReorderOptions()
         spans = spans if spans is not None else SpanRecorder()
@@ -209,8 +193,11 @@ class AnalysisContext:
         # Callers of removed predicates are found through the *new*
         # call graph (built below); CallGraph.callers keeps undefined
         # callees as nodes, so the closure still reaches them.
-        program_changed = self.generation != generation or self.callgraph is None
-        if program_changed:
+        if (
+            self.generation != generation
+            or self.callgraph is None
+            or self._options_key != key
+        ):
             with spans.span("declarations", cache="miss"):
                 self.declarations = (
                     self._declared or Declarations.from_database(self.database)
@@ -248,16 +235,14 @@ class AnalysisContext:
             self.domains,
             table_all=options.table_all,
         )
-        if self._options_key is not None and self._options_key != key:
-            # Different knobs invalidate every build (but not the
-            # measurements: those depend only on the program).
+        if self._options_key != key:
+            # Different knobs invalidate every build.
             self._builds.clear()
         affected = (
             affected_predicates(self.callgraph, dirty) if dirty else set()
         )
         for indicator in affected:
             self._builds.pop(indicator, None)
-        self.calibrated.invalidate(affected)
         self._marks = marks
         self.generation = generation
         self._options_key = key
@@ -269,69 +254,11 @@ class AnalysisContext:
 
     def build_for(self, indicator: Indicator) -> Optional[CachedPredicateBuild]:
         """The cached build of one predicate (None = must rebuild).
-        Counts the consultation and emits a CacheEvent."""
+        Counts the consultation."""
         build = self._builds.get(indicator)
-        self._count(BUILD_STAGE, hit=build is not None, indicator=indicator)
+        self._count(BUILD_STAGE, hit=build is not None)
         return build
 
     def store_build(self, indicator: Indicator, build: CachedPredicateBuild) -> None:
         """Remember one freshly built predicate for later replay."""
         self._builds[indicator] = build
-
-    # -- calibration ------------------------------------------------------
-
-    def calibrate(
-        self,
-        calibration=None,
-        jobs: int = 1,
-        indicators=None,
-        declarations: Optional[Declarations] = None,
-    ) -> Declarations:
-        """Measured cost declarations, served from the context cache.
-
-        Pairs never measured (or invalidated by an edit) are measured
-        now — fanned across ``jobs`` worker processes when ``jobs > 1``
-        — and remembered, including failed measurements, so a pair only
-        re-runs after its predicate's SCC is touched. Semantics
-        otherwise match
-        :meth:`repro.analysis.calibration.EmpiricalCalibrator.calibrate`:
-        existing ``:- cost`` declarations win.
-        """
-        from ...analysis.calibration import EmpiricalCalibrator
-
-        calibrator = EmpiricalCalibrator(self.database, calibration)
-        if declarations is None:
-            declarations = self.declarations or Declarations()
-        targets = list(indicators or self.database.predicates())
-        pairs: List[Tuple[Indicator, Mode]] = []
-        for indicator in targets:
-            for mode in all_input_modes(indicator[1]):
-                if (indicator, mode) in declarations.costs:
-                    continue
-                pairs.append((indicator, mode))
-        missing = []
-        for pair in pairs:
-            known, _stats = self.calibrated.lookup(pair)
-            if known:
-                self._count(CALIBRATION_STAGE, hit=True, indicator=pair[0])
-            else:
-                self._count(CALIBRATION_STAGE, hit=False, indicator=pair[0])
-                missing.append(pair)
-        if missing:
-            results = calibrator.measure_pairs(missing, jobs=jobs)
-            for pair, stats in zip(missing, results):
-                self.calibrated.put(pair, stats)
-        self.last_calibration_failures = calibrator.failure_warnings()
-        for pair in pairs:
-            _known, stats = self.calibrated.lookup(pair)
-            if stats is None:
-                continue
-            indicator, mode = pair
-            declarations.costs[pair] = CostDeclaration(
-                indicator=indicator,
-                mode=mode,
-                cost=stats.cost,
-                prob=stats.prob,
-                solutions=stats.solutions,
-            )
-        return declarations

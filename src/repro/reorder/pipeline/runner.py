@@ -2,7 +2,7 @@
 
 :class:`ReorderPipeline` runs one reorder for the
 :class:`~repro.reorder.system.Reorderer` that created it, reading the
-options, analyses, report, spans, budget and events from it. Each user
+options, analyses, report, spans and budget from it. Each user
 predicate is built callees-first, or replayed from the
 :class:`AnalysisContext` when one is attached. Without a context it
 performs exactly the operations of the pre-pipeline
@@ -231,12 +231,6 @@ class ReorderPipeline:
         reorderer.report.warnings.append(
             f"degraded {indicator[0]}/{indicator[1]} to source order: {reason}"
         )
-        if reorderer.events is not None:
-            from ...observability.events import DegradedEvent
-
-            reorderer.events.emit(
-                DegradedEvent(indicator=indicator, phase="build", reason=reason)
-            )
         return CachedPredicateBuild([version])
 
     def _forget_stats(self, indicator: Indicator) -> None:

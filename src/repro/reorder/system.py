@@ -81,15 +81,12 @@ class Reorderer:
         spans: Optional[SpanRecorder] = None,
         context: Optional[AnalysisContext] = None,
         budget: Optional[Budget] = None,
-        events=None,
     ):
         self.options = options or ReorderOptions()
         #: Whole-run resource budget: deadline expiry or cancellation
         #: aborts the run with a BudgetExceededError (per-predicate
         #: failures degrade instead; see docs/ROBUSTNESS.md).
         self.budget = budget
-        #: Optional event bus for degraded/budget events.
-        self.events = events
         #: Pipeline-phase wall-clock telemetry (shared when passed in).
         self.spans = spans if spans is not None else SpanRecorder()
         #: Search-internals telemetry, accumulated across all blocks.

@@ -78,7 +78,6 @@ class Budget:
         "max_solutions",
         "token",
         "check_interval",
-        "events",
         "calls",
         "steps",
         "solutions",
@@ -105,9 +104,6 @@ class Budget:
         #: Charges between deadline/cancel consultations. Counter caps
         #: are still enforced exactly on every charge.
         self.check_interval = max(1, check_interval)
-        #: Optional event bus: exhaustion emits a ``budget`` event
-        #: (see :class:`repro.observability.events.BudgetEvent`).
-        self.events = None
         self.calls = 0
         self.steps = 0
         self.solutions = 0
@@ -148,22 +144,14 @@ class Budget:
 
     # -- checks -----------------------------------------------------------
 
-    def _emit(self, what: str, site: str) -> None:
-        if self.events is not None:
-            from ..observability.events import BudgetEvent
-
-            self.events.emit(BudgetEvent(what=what, site=site))
-
     def check(self, site: str = "") -> None:
         """Immediate deadline + cancellation check (coarse boundaries)."""
         token = self.token
         if token is not None and token.cancelled:
-            self._emit("cancelled", site)
             raise QueryCancelled(
                 f"cancelled: {token.reason}" + (f" (at {site})" if site else "")
             )
         if self._expires_at is not None and perf_counter() > self._expires_at:
-            self._emit("deadline", site)
             raise DeadlineExceeded(
                 f"deadline of {self.deadline:g}s exceeded"
                 + (f" (at {site})" if site else "")
@@ -173,7 +161,6 @@ class Budget:
         """Charge one predicate call; raise when a bound is hit."""
         self.calls += 1
         if self.max_calls is not None and self.calls > self.max_calls:
-            self._emit("calls", site)
             raise BudgetExceededError(
                 f"call budget of {self.max_calls} exhausted"
             )
@@ -186,7 +173,6 @@ class Budget:
         """Charge one resolution step (body-loop iteration)."""
         self.steps += 1
         if self.max_steps is not None and self.steps > self.max_steps:
-            self._emit("steps", site)
             raise BudgetExceededError(
                 f"step budget of {self.max_steps} exhausted"
             )

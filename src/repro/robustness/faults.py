@@ -113,8 +113,6 @@ class FaultPlan:
         self._counters: Dict[str, int] = {}
         #: (site, kind) pairs that actually fired, in order.
         self.trips: List[Tuple[str, str]] = []
-        #: Optional event bus: each trip emits a ``fault`` event.
-        self.events = None
 
     # -- construction -----------------------------------------------------
 
@@ -166,10 +164,6 @@ class FaultPlan:
             return
         rule.fired = True
         self.trips.append((site, rule.kind))
-        if self.events is not None:
-            from ..observability.events import FaultEvent
-
-            self.events.emit(FaultEvent(site=site, action=rule.kind))
         if rule.kind == "raise":
             raise FaultInjected(f"injected fault at {site}")
         if rule.kind == "exhaust":

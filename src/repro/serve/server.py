@@ -93,6 +93,9 @@ from .snapshots import SnapshotStore
 
 __all__ = ["ServeOptions", "QueryServer", "ServerThread"]
 
+#: Event-bus retention (lifecycle events; the JSONL log is unbounded).
+BUS_LIMIT = 100_000
+
 
 @dataclass
 class ServeOptions:
@@ -125,8 +128,6 @@ class ServeOptions:
     #: Engine recursion depth per request (recursion capacity is
     #: reserved once, at server start, not per request).
     max_depth: int = 1_000
-    #: Event-bus retention (lifecycle events; the JSONL log is unbounded).
-    bus_limit: int = 100_000
     #: Evaluation strategy for request engines (``topdown`` |
     #: ``bottomup`` | ``auto``; see docs/EVALUATION.md). Bottom-up
     #: materializations are request-private and rebuilt per snapshot,
@@ -196,7 +197,7 @@ class QueryServer:
         )
         if self.backend_warning is not None:
             _warnings.warn(self.backend_warning, RuntimeWarning, stacklevel=2)
-        self.events = EventBus(limit=self.options.bus_limit)
+        self.events = EventBus(limit=BUS_LIMIT)
         self.recorder = StreamingRecorder()
         self.draining = False
         self._drain_requested = asyncio.Event()

@@ -2,11 +2,8 @@
 failure-surfacing channels added with the pipeline refactor."""
 
 from repro.analysis.calibration import CalibrationOptions, EmpiricalCalibrator
-from repro.analysis.declarations import Declarations
 from repro.analysis.modes import all_input_modes, parse_mode_string
 from repro.prolog import Database
-from repro.reorder import AnalysisContext
-from repro.reorder.pipeline.context import CALIBRATION_STAGE
 
 
 def mode(text):
@@ -75,53 +72,6 @@ class TestMeasurePairs:
         assert results[0].solutions == 4.0
 
 
-def aggregate_signature(aggregates):
-    """Everything deterministic about aggregates: wall-time histograms
-    vary run to run, the call/box/cost accounting must not."""
-    return (
-        dict(aggregates.total_calls),
-        {
-            key: (
-                aggregate.boxes,
-                aggregate.successes,
-                aggregate.solutions,
-                aggregate.cost.buckets,
-                aggregate.cost.total,
-            )
-            for key, aggregate in aggregates.items()
-        },
-    )
-
-
-class TestCollectAggregates:
-    def test_sample_runs_feed_the_aggregates(self):
-        calibrator = EmpiricalCalibrator(
-            Database.from_source(FACTS),
-            CalibrationOptions(collect_aggregates=True),
-        )
-        calibrator.measure_pairs(all_pairs(calibrator.database))
-        assert calibrator.aggregates.total_calls
-        assert calibrator.aggregates.sampled_boxes() > 0
-
-    def test_disabled_by_default(self):
-        calibrator = EmpiricalCalibrator(Database.from_source(FACTS))
-        calibrator.measure_pairs(all_pairs(calibrator.database))
-        assert not calibrator.aggregates.total_calls
-
-    def test_serial_and_parallel_merge_identically(self):
-        options = CalibrationOptions(collect_aggregates=True)
-        pairs = all_pairs(Database.from_source(FACTS))
-        serial = EmpiricalCalibrator(Database.from_source(FACTS), options)
-        serial.measure_pairs(pairs)
-        parallel = EmpiricalCalibrator(Database.from_source(FACTS), options)
-        parallel.measure_pairs(pairs, jobs=2)
-        # Workers ship partial aggregates back as payloads merged in
-        # task order: the fold must equal the serial accounting.
-        assert aggregate_signature(serial.aggregates) == aggregate_signature(
-            parallel.aggregates
-        )
-
-
 class TestFailureSurfacing:
     def test_failure_warnings_lines(self):
         database = Database.from_source(DIVERGING)
@@ -148,36 +98,3 @@ class TestFailureSurfacing:
         # exactly that run's lines, not the accumulated history.
         calibrator.calibrate()
         assert len(database.warnings) == 2 * len(new)
-
-
-class TestContextCalibration:
-    def test_measurements_cached_across_calls(self):
-        database = Database.from_source(FACTS)
-        context = AnalysisContext(database).refresh()
-        first = context.calibrate()
-        misses = context.misses.get(CALIBRATION_STAGE, 0)
-        assert misses > 0
-        context.reset_counters()
-        second = context.calibrate(declarations=Declarations())
-        assert context.misses.get(CALIBRATION_STAGE, 0) == 0
-        assert context.hits[CALIBRATION_STAGE] == misses
-        assert {
-            pair: (c.cost, c.prob, c.solutions) for pair, c in first.costs.items()
-        } == {
-            pair: (c.cost, c.prob, c.solutions)
-            for pair, c in second.costs.items()
-        }
-
-    def test_edit_invalidates_affected_measurements(self):
-        database = Database.from_source(FACTS)
-        context = AnalysisContext(database).refresh()
-        context.calibrate()
-        database.replace_predicate(("q", 2), database.clauses(("q", 2)))
-        context.refresh()
-        context.reset_counters()
-        context.calibrate(declarations=Declarations())
-        # q/2 and its caller join/2 were remeasured; p/1 replayed.
-        assert context.misses[CALIBRATION_STAGE] == len(
-            list(all_input_modes(2))
-        ) * 2
-        assert context.hits[CALIBRATION_STAGE] == len(list(all_input_modes(1)))

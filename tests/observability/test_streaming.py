@@ -112,30 +112,17 @@ class TestLogHistogram:
         assert LogHistogram().percentile(0.5) == 0.0
         assert LogHistogram().mean == 0.0
 
-    def test_merge_matches_sequential(self):
-        left, right, both = LogHistogram(), LogHistogram(), LogHistogram()
-        for value in (1, 5, 9):
-            left.add(value)
-            both.add(value)
-        for value in (2, 100):
-            right.add(value)
-            both.add(value)
-        merged = left + right
-        assert merged.buckets == both.buckets
-        assert merged.count == both.count
-        assert merged.total == both.total
-        assert merged.min == both.min
-        assert merged.max == both.max
-
     def test_payload_round_trip(self):
         histogram = LogHistogram(scale=1e6)
         histogram.add(0.000_5)
         histogram.add(0.25)
         payload = json.loads(json.dumps(histogram.to_payload()))
-        rebuilt = LogHistogram.from_payload(payload)
-        assert rebuilt.buckets == histogram.buckets
-        assert rebuilt.scale == 1e6
-        assert rebuilt.count == 2
+        assert payload["buckets"] == {
+            str(bucket): count for bucket, count in histogram.buckets.items()
+        }
+        assert payload["scale"] == 1e6
+        assert payload["count"] == 2
+        assert payload["max"] == 0.25
 
 
 class TestModeAggregate:
@@ -149,44 +136,18 @@ class TestModeAggregate:
         assert aggregate.mean_solutions == 1.0
         assert aggregate.success_rate == 0.5
 
-    def test_merge_and_payload_round_trip(self):
-        left, right = ModeAggregate(), ModeAggregate()
-        left.record(1, 1, 0.001)
-        right.record(9, 0, 0.002)
-        merged = left + right
-        assert merged.boxes == 2
-        assert merged.mean_cost == 5.0
-        rebuilt = ModeAggregate.from_payload(
-            json.loads(json.dumps(merged.to_payload()))
-        )
-        assert rebuilt.boxes == merged.boxes
-        assert rebuilt.mean_cost == merged.mean_cost
-        assert rebuilt.cost.buckets == merged.cost.buckets
+    def test_payload_round_trip(self):
+        aggregate = ModeAggregate()
+        aggregate.record(1, 1, 0.001)
+        aggregate.record(9, 0, 0.002)
+        payload = json.loads(json.dumps(aggregate.to_payload()))
+        assert payload["boxes"] == 2
+        assert payload["successes"] == 1
+        assert payload["cost"] == json.loads(json.dumps(aggregate.cost.to_payload()))
+        assert payload["cost"]["total"] == 10
 
 
 class TestStreamAggregates:
-    def test_merge_sums_both_levels(self):
-        left, right = StreamAggregates(), StreamAggregates()
-        left.record_call(("p", 1))
-        left.record_box(("p", 1), "(+)", 1, 1, 0.0)
-        right.record_call(("p", 1))
-        right.record_call(("q", 0))
-        right.record_box(("p", 1), "(+)", 3, 0, 0.0)
-        merged = left + right
-        assert merged.total_calls == {("p", 1): 2, ("q", 0): 1}
-        assert merged.get(("p", 1), "(+)").boxes == 2
-        assert merged.sampled_boxes() == 2
-
-    def test_payload_round_trip(self):
-        aggregates = StreamAggregates()
-        aggregates.record_call(("p", 2))
-        aggregates.record_box(("p", 2), "(+, -)", 4, 1, 0.001)
-        rebuilt = StreamAggregates.from_payload(
-            json.loads(json.dumps(aggregates.to_payload()))
-        )
-        assert rebuilt.total_calls == aggregates.total_calls
-        assert rebuilt.get(("p", 2), "(+, -)").boxes == 1
-
     def test_stream_records_sorted_and_typed(self):
         aggregates = StreamAggregates()
         aggregates.record_box(("z", 0), "()", 1, 1, 0.0)

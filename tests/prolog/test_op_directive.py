@@ -45,10 +45,16 @@ class TestParsing:
         with pytest.raises(PrologSyntaxError):
             Parser(":- op(9999, xfx, likes). a.").read_program()
 
-    def test_can_disable(self):
-        parser = Parser(":- op(700, xfx, likes). ok.")
-        terms = parser.read_program(apply_op_directives=False)
-        assert len(terms) == 2  # directive read but not applied
+    def test_list_of_names(self):
+        parser = Parser(":- op(700, xfx, [likes, hates]). a likes b. c hates d.")
+        terms = parser.read_program()
+        assert terms[1].indicator == ("likes", 2)
+        assert terms[2].indicator == ("hates", 2)
+
+    def test_empty_list_defines_nothing(self):
+        parser = Parser(":- op(700, xfx, []). ok.")
+        parser.read_program()
+        assert parser.operators.infix("[]") is None
 
 
 class TestDatabaseAndEngine:
@@ -77,6 +83,14 @@ class TestDatabaseAndEngine:
 
 
 class TestReorderingWithOps:
+    def test_list_form_consults_and_reorders(self):
+        database = Database.from_source(
+            ":- op(200, xfy, [^^]).\np(X) :- X = a^^b.\n"
+        )
+        assert Engine(database).count_solutions("p(a^^b)") == 1
+        text = Reorderer(database).reorder().source()
+        assert Engine(Database.from_source(text)).count_solutions("p(a^^b)") == 1
+
     def test_reorder_and_roundtrip(self):
         database = Database.from_source(SOURCE)
         program = Reorderer(database).reorder()

@@ -15,7 +15,7 @@ from repro.analysis.mode_inference import ModeInference
 from repro.analysis.modes import parse_mode_string
 from repro.prolog import Database, Engine, parse_term
 from repro.prolog.database import body_goals, split_clause
-from repro.reorder.legality import order_is_legal
+from tests.reorder.legality import order_is_legal
 from repro.reorder.system import Reorderer
 
 SOURCE = """

@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from repro.observability.events import CacheEvent, EventBus
 from repro.programs import REGISTRY
 from repro.prolog import Database, Engine
 from repro.reorder import AnalysisContext, Reorderer, ReorderOptions
@@ -109,17 +108,36 @@ class TestIncrementalInvalidation:
         cold = Reorderer(Database.from_source(source)).reorder()
         assert fingerprint(incremental) == fingerprint(cold)
 
-    def test_options_change_invalidates_builds_not_analyses(self):
+    def test_options_change_invalidates_builds_and_analyses(self):
         database = Database.from_source(SMALL)
         context = AnalysisContext(database)
         reorder_with(database, context)
         context.reset_counters()
         reorder_with(database, context, runtime_tests=True)
-        # Same program: analyses replay; different knobs: builds rerun.
+        # Different knobs rerun everything, as a program edit does.
         for stage in ANALYSIS_STAGES:
-            assert context.hits[stage] == 1
+            assert context.misses[stage] == 1
+            assert stage not in context.hits
         assert context.misses[BUILD_STAGE] == len(database.predicates())
         assert BUILD_STAGE not in context.hits
+
+    def test_options_change_matches_cold_warnings(self):
+        # Mode inference reports each warning once per analysis object:
+        # a warm run under new options must not reuse one that already
+        # reported them.
+        source = """
+        parent(a, b). parent(b, c).
+        anc(X, Y) :- anc(X, Z), parent(Z, Y).
+        anc(X, Y) :- parent(X, Y).
+        """
+        database = Database.from_source(source)
+        context = AnalysisContext(database)
+        reorder_with(database, context)
+        warm = reorder_with(database, context, runtime_tests=True)
+        cold = reorder_with(Database.from_source(source), None, runtime_tests=True)
+        assert warm.source() == cold.source()
+        assert warm.report.warnings == cold.report.warnings
+        assert len(cold.report.warnings) == 5
 
 
 #: program -> (edited predicate, predicates, dirty, affected, build
@@ -192,24 +210,6 @@ class TestDegradeDuringWarmRun:
 
 
 class TestObservability:
-    def test_cache_events_emitted(self):
-        database = Database.from_source(SMALL)
-        bus = EventBus()
-        context = AnalysisContext(database, events=bus)
-        reorder_with(database, context)
-        reorder_with(database, context)
-        cache_events = bus.by_kind("cache")
-        assert cache_events
-        assert all(isinstance(event, CacheEvent) for event in cache_events)
-        stages = {event.stage for event in cache_events}
-        assert BUILD_STAGE in stages and "fixity" in stages
-        assert {event.hit for event in cache_events} == {True, False}
-        # Build consultations carry the predicate; analysis ones do not.
-        build_event = next(e for e in cache_events if e.stage == BUILD_STAGE)
-        assert build_event.indicator in set(database.predicates())
-        record = build_event.to_record()
-        assert record["kind"] == "cache" and "predicate" in record
-
     def test_counters_record_shape(self):
         database = Database.from_source(SMALL)
         context = AnalysisContext(database)
