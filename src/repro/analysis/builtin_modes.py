@@ -16,7 +16,7 @@ orders that would produce them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .modes import Mode, ModeItem, ModePair, mode_accepts, parse_mode_string
 

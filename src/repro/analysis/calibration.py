@@ -31,7 +31,7 @@ from ..errors import PrologError
 from ..markov.goal_stats import GoalStats
 from ..prolog.database import Database
 from ..prolog.engine import Engine
-from ..prolog.terms import Atom, Struct, Term, Var, deref, is_number
+from ..prolog.terms import Atom, Struct, deref, is_number
 from ..robustness import faults
 from ..robustness.budget import Budget
 from ..robustness.watchdog import (

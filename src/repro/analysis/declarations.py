@@ -31,7 +31,7 @@ terms and ``[+, -]`` lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import DeclarationError

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from ..prolog.database import Clause, Database
+from ..prolog.database import Database
 from ..prolog.terms import Atom, Struct, deref, is_number, term_is_ground
 from .declarations import Declarations
 from .modes import Mode, ModeItem

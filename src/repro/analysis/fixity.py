@@ -15,7 +15,7 @@ execution produce a side effect)?
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..prolog.builtins import BUILTINS
 from ..prolog.database import Database

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Tuple
 
 from ..errors import DeclarationError
 from ..prolog.terms import Atom, Struct, Term, Var, deref, is_number, term_variables

@@ -21,7 +21,7 @@ ineligible, because materializing it would need those answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..prolog.builtins import lookup
 from ..prolog.database import Clause, Database, body_goals

@@ -35,7 +35,6 @@ from ..prolog.terms import (
     functor_indicator,
     term_variables,
 )
-from ..analysis.modes import Mode, ModeItem
 
 __all__ = ["WarrenReorderer"]
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from ..markov.chain import (
     all_solutions_analysis,
     all_solutions_matrix,

@@ -9,8 +9,7 @@ EXPERIMENTS.md; the benchmark suite asserts them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..analysis.callgraph import CallGraph
 from ..analysis.declarations import Declarations

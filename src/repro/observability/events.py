@@ -76,15 +76,14 @@ class Event:
 
 @dataclass
 class IndexEvent(Event):
-    """One clause-index consultation by ``Database.matching_clauses``.
+    """One clause-index consultation by ``Database.matching_for``.
 
     ``hit`` means a bound key selected a bucket; ``candidates`` is how
     many clauses survived out of ``total`` stored ones (a hit that does
-    not narrow still reports ``candidates == total``). Under
-    multi-argument indexing a hit additionally reports which argument
-    ``position`` (0-based) won the selectivity contest and the achieved
-    ``selectivity`` (``candidates / total``, lower is better); both stay
-    ``None`` on misses and on the fixed single-position index modes.
+    not narrow still reports ``candidates == total``). A hit
+    additionally reports which argument ``position`` (0-based) won the
+    selectivity contest and the achieved ``selectivity`` (``candidates
+    / total``, lower is better); both stay ``None`` on misses.
     """
 
     kind = "index"

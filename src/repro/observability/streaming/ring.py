@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Generic, Iterator, List, Optional, TypeVar
+from typing import Generic, Iterator, List, TypeVar
 
 __all__ = ["RingBuffer", "ReservoirSampler"]
 

@@ -19,7 +19,7 @@ reordering experiments (``examples/geography_queries.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..prolog.database import Database
 

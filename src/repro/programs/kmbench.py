@@ -16,8 +16,6 @@ test can precede or follow the rule fetch).
 
 from __future__ import annotations
 
-from typing import List
-
 from ..prolog.database import Database
 
 __all__ = ["SOURCE", "source", "database", "TABLE4_QUERIES", "PROBLEMS"]

@@ -275,9 +275,6 @@ class CompiledClause:
       argument; the engine rejects an attempt when *any* bound call
       argument's key conflicts with the head's concrete key at that
       position.
-    * ``head_key`` — ``head_keys[0]`` (the classic first-argument
-      fingerprint), kept as a convenience alias; ``None`` when the head
-      has no arguments or its first argument is a variable.
     * ``goals`` — the flattened body as ``(code, const)`` pairs, in
       execution order; empty for facts. Compile-time ``true`` atoms are
       dropped (the solver never charged or traced them anyway).
@@ -290,7 +287,6 @@ class CompiledClause:
     __slots__ = (
         "var_names",
         "head_args",
-        "head_key",
         "head_keys",
         "goals",
         "vm_ops",
@@ -332,10 +328,8 @@ class CompiledClause:
             from .database import first_arg_key
 
             self.head_keys = tuple(first_arg_key(arg) for arg in head.args)
-            self.head_key = self.head_keys[0]
         else:
             self.head_keys = ()
-            self.head_key = None
 
     def unify_head(self, goal_args, trail, occurs_check: bool = False):
         """Unify the skeleton head against ``goal_args``; one attempt.

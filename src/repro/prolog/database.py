@@ -18,7 +18,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..errors import PrologSyntaxError
 from ..observability.events import IndexEvent
-from .reader.parser import parse_terms
 from .terms import (
     Atom,
     Struct,
@@ -194,30 +193,36 @@ def _general_arg_key(term: Term):
 class Database:
     """All clauses of a program, grouped by predicate.
 
-    ``indexing=True`` enables argument indexing: for a call whose
-    indexed argument is bound, only clauses whose head could unify on
-    that argument are attempted (a variable head argument matches any
-    key). ``index_argument`` selects the position:
+    ``indexing=True`` enables argument indexing: for a call with a bound
+    argument, only clauses whose head could unify on that argument are
+    attempted (a variable head argument matches any key). The database
+    keeps one bucket index per argument position, built lazily for the
+    positions calls actually bind, and answers each call from the most
+    *selective* bucket among its bound arguments. ``index_argument``
+    limits the positions consulted:
 
-    * ``"multi"`` (default) — multi-argument discrimination indexing:
-      the database keeps one bucket index per argument position (built
-      lazily, only for positions a call actually binds) and each call
-      is answered from the most *selective* bucket among its bound
-      arguments — the generalization of the paper's §III-A "proper
-      arguments" engine to per-call instantiation modes;
-    * ``1`` (or any 1-based position) — classic first-argument
-      indexing, what the paper's engines (C-Prolog, SB-Prolog-style)
-      do;
-    * ``"auto"`` — per predicate, one fixed most-selective argument
-      (most distinct keys among the heads), used by the indexing
-      ablation.
+    * ``"multi"`` (default) — every argument position: the paper's
+      §III-A engine that "indexes on the proper arguments", generalized
+      to per-call instantiation modes;
+    * ``1`` — the first argument only: classic first-argument indexing,
+      what the paper's engines (C-Prolog, SB-Prolog-style) do.
+
+    :meth:`select` is the one clause-selection entry point of the
+    compiled engine. It answers from one cache per database, keyed by
+    predicate and argument keys, which every mutation and every change
+    of ``indexing``, ``index_argument`` or ``scan_plans`` empties, and
+    which is neither read nor filled while an event bus is attached to
+    :attr:`events` (so the bus sees every index probe).
 
     ``scan_plans=True`` additionally lets the compiled engine bulk-skip
-    fingerprint-rejected clauses on *unnarrowed* scans (``indexing=False``
-    or an unindexable call) without a per-clause Python loop; the
-    skipped clauses' counters are still charged exactly as if each had
-    been attempted (see :meth:`scan_plan`).
+    fingerprint-rejected clauses on unindexed scans (``indexing=False``)
+    without a per-clause Python loop; the skipped clauses' counters are
+    still charged exactly as if each had been attempted (see
+    :meth:`_scan_plan`).
     """
+
+    #: Attributes whose assignment changes what :meth:`select` answers.
+    _SELECTION_KNOBS = frozenset(("indexing", "index_argument", "scan_plans"))
 
     def __init__(
         self,
@@ -225,24 +230,18 @@ class Database:
         index_argument: Union[int, str] = "multi",
         scan_plans: bool = True,
     ):
+        #: Selections per ``(indicator, argument keys)``; see select.
+        self._selections: Dict[Tuple, Tuple] = {}
         self.indexing = indexing
-        if index_argument not in ("auto", "multi") and (
-            not isinstance(index_argument, int) or index_argument < 1
-        ):
-            raise ValueError(f"bad index_argument: {index_argument!r}")
         self.index_argument = index_argument
         #: Bulk fast-reject plans enabled (an ablation knob, like
         #: :attr:`indexing`: ``benchmarks/engine_bench.py`` measures the
         #: unindexed-scan speedup by toggling it).
         self.scan_plans = scan_plans
         self._predicates: Dict[Indicator, List[Clause]] = {}
-        self._index: Dict[Indicator, Dict[Optional[Tuple], List[Clause]]] = {}
-        self._index_position: Dict[Indicator, int] = {}
-        #: Multi-argument mode: per predicate, per argument position,
-        #: key -> clauses buckets; positions are indexed lazily.
-        self._multi_index: Dict[Indicator, Dict[int, Dict[Optional[Tuple], List[Clause]]]] = {}
-        #: Cached bulk fast-reject plans per predicate (see scan_plan).
-        self._scan_plans: Dict[Indicator, Dict] = {}
+        #: Per predicate, per argument position, key -> clauses buckets;
+        #: positions are indexed lazily.
+        self._buckets: Dict[Indicator, Dict[int, Dict[Optional[Tuple], List[Clause]]]] = {}
         #: Compiled skeletons per predicate (see
         #: :mod:`repro.prolog.compile`), invalidated wholesale whenever
         #: :attr:`generation` moves past :attr:`_compiled_generation`.
@@ -270,6 +269,15 @@ class Database:
         from .reader.operators import standard_operators
 
         self.operators = standard_operators()
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in self._SELECTION_KNOBS:
+            if name == "index_argument" and value != "multi" and (
+                type(value) is not int or value != 1
+            ):
+                raise ValueError(f"bad index_argument: {value!r}")
+            self._selections.clear()
+        object.__setattr__(self, name, value)
 
     # -- construction ---------------------------------------------------
 
@@ -359,12 +367,7 @@ class Database:
             clause.indicator = indicator = clauses[0].indicator
         clause.index = len(clauses)
         clauses.append(clause)
-        self.generation += 1
-        self._predicate_marks[indicator] = self.generation
-        self._index.pop(indicator, None)  # invalidate
-        self._index_position.pop(indicator, None)
-        self._multi_index.pop(indicator, None)
-        self._scan_plans.pop(indicator, None)
+        self._changed(indicator)
 
     def replace_predicate(self, indicator: Indicator, clauses: List[Clause]) -> None:
         """Replace all clauses of a predicate (used by the reorderer)."""
@@ -372,22 +375,21 @@ class Database:
         for position, clause in enumerate(clauses):
             renumbered.append(Clause(clause.head, clause.body, position))
         self._predicates[indicator] = renumbered
-        self.generation += 1
-        self._predicate_marks[indicator] = self.generation
-        self._index.pop(indicator, None)
-        self._index_position.pop(indicator, None)
-        self._multi_index.pop(indicator, None)
-        self._scan_plans.pop(indicator, None)
+        self._changed(indicator)
 
     def remove_predicate(self, indicator: Indicator) -> None:
         """Delete a predicate and its index entries."""
         self._predicates.pop(indicator, None)
+        self._changed(indicator)
+        del self._predicate_marks[indicator]
+
+    def _changed(self, indicator: Indicator) -> None:
+        """Record a mutation of ``indicator``: bump the generation and
+        drop its bucket indexes and every cached selection."""
         self.generation += 1
-        self._predicate_marks.pop(indicator, None)
-        self._index.pop(indicator, None)
-        self._index_position.pop(indicator, None)
-        self._multi_index.pop(indicator, None)
-        self._scan_plans.pop(indicator, None)
+        self._predicate_marks[indicator] = self.generation
+        self._buckets.pop(indicator, None)
+        self._selections.clear()
 
     # -- queries ---------------------------------------------------------
 
@@ -456,98 +458,48 @@ class Database:
         args: Tuple[Term, ...],
         keys: Optional[Tuple[object, ...]] = None,
     ) -> List[Clause]:
-        """Clause lookup from an indicator and argument tuple.
+        """Candidate clauses for a call, from its indicator and arguments.
 
-        The goal-term-free entry point the bytecode VM calls: the VM
-        holds call arguments as a tuple and never builds a ``Struct``
-        just to look up clauses. ``matching_clauses`` delegates here,
-        so both engines share one indexing implementation. ``keys``,
-        when given, is the caller's precomputed ``first_arg_key`` per
-        argument (the VM already has them for head fingerprinting) and
-        skips recomputing them here.
+        With indexing on, every bound call argument (only the first
+        under ``index_argument=1``) probes that position's bucket index,
+        built lazily on first probe; the smallest candidate set wins,
+        with variable-headed clauses merged back in source order. A call
+        with no bound argument, or any call with indexing off, reports
+        an index miss and scans every clause. ``keys``, when given, is
+        the caller's precomputed ``first_arg_key`` per argument.
         """
         clauses = self._predicates.get(indicator)
         if clauses is None:
             return []
-        if not self.indexing or indicator[1] == 0:
-            if self.events is not None:
-                self.events.emit(
-                    IndexEvent(indicator, False, len(clauses), len(clauses))
-                )
-            return clauses
-        if self.index_argument == "multi":
-            return self._matching_multi(indicator, args, clauses, keys)
-        buckets = self._index.get(indicator)
-        if buckets is None:
-            buckets = self._build_index(indicator, clauses)
-        position = self._index_position[indicator]
-        key = (
-            keys[position] if keys is not None
-            else first_arg_key(args[position])
-        )
-        if key is None:  # unbound call argument: every clause may match
-            if self.events is not None:
-                self.events.emit(
-                    IndexEvent(indicator, False, len(clauses), len(clauses))
-                )
-            return clauses
-        matched = buckets.get(key)
-        unindexed = buckets.get(None)
-        if matched is None:
-            result: List[Clause] = unindexed or []
-        elif not unindexed:
-            result = matched
-        else:
-            # Merge variable-headed clauses back in source order.
-            result = sorted(matched + unindexed, key=lambda c: c.index)
-        if self.events is not None:
-            self.events.emit(
-                IndexEvent(indicator, True, len(result), len(clauses))
-            )
-        return result
-
-    def _matching_multi(
-        self,
-        indicator: Indicator,
-        args: Tuple[Term, ...],
-        clauses: List[Clause],
-        keys: Optional[Tuple[object, ...]] = None,
-    ) -> List[Clause]:
-        """Multi-argument lookup: the most selective bound position wins.
-
-        Every bound call argument probes that position's bucket index
-        (built lazily on first probe); the smallest candidate set is
-        returned, with variable-headed clauses merged back in source
-        order. A call with no bound argument reports an index miss and
-        scans every clause, exactly like the single-position modes.
-        """
-        positions = self._multi_index.get(indicator)
-        if positions is None:
-            positions = {}
-            self._multi_index[indicator] = positions
         total = len(clauses)
         best = None
-        best_size = total + 1
-        best_position = -1
-        for position, arg in enumerate(args):
-            key = keys[position] if keys is not None else first_arg_key(arg)
-            if key is None:
-                continue
-            buckets = positions.get(position)
-            if buckets is None:
-                buckets = self._build_position_index(clauses, position)
-                positions[position] = buckets
-            matched = buckets.get(key)
-            unindexed = buckets.get(None)
-            size = (len(matched) if matched else 0) + (
-                len(unindexed) if unindexed else 0
-            )
-            if size < best_size:
-                best = (matched, unindexed)
-                best_size = size
-                best_position = position
-                if size == 0:
-                    break
+        if self.indexing:
+            if self.index_argument == 1:
+                args = args[:1]
+            positions = self._buckets.get(indicator)
+            if positions is None:
+                positions = self._buckets[indicator] = {}
+            best_size = total + 1
+            best_position = -1
+            for position, arg in enumerate(args):
+                key = keys[position] if keys is not None else first_arg_key(arg)
+                if key is None:
+                    continue
+                buckets = positions.get(position)
+                if buckets is None:
+                    buckets = self._build_position_index(clauses, position)
+                    positions[position] = buckets
+                matched = buckets.get(key)
+                unindexed = buckets.get(None)
+                size = (len(matched) if matched else 0) + (
+                    len(unindexed) if unindexed else 0
+                )
+                if size < best_size:
+                    best = (matched, unindexed)
+                    best_size = size
+                    best_position = position
+                    if size == 0:
+                        break
         if best is None:  # no bound argument: every clause may match
             if self.events is not None:
                 self.events.emit(IndexEvent(indicator, False, total, total))
@@ -573,6 +525,48 @@ class Database:
             )
         return result
 
+    def select(self, indicator: Indicator, args: Tuple[Term, ...]) -> Tuple:
+        """Clause selection for one compiled-engine call.
+
+        Returns ``(clauses, program, goal_keys, bound_positions, plan)``:
+        the candidates from :meth:`matching_for`, the predicate's
+        :meth:`compiled_program`, the call's ``first_arg_key`` per
+        argument and the positions among them that are bound (``None``
+        and ``()`` unless more than one candidate is left for the head
+        fingerprints to reject), and an unindexed-scan plan or ``None``.
+        Selection depends on the arguments only through their keys, so
+        the answer is cached per ``(indicator, keys)``, up to 4096
+        entries; an attached :attr:`events` bus bypasses the cache.
+        """
+        keys = tuple(map(first_arg_key, args))
+        cache_key = (indicator, keys)
+        events = self.events
+        if events is None:
+            selection = self._selections.get(cache_key)
+            if selection is not None:
+                return selection
+        clauses = self.matching_for(indicator, args, keys or None)
+        goal_keys = None
+        bound_positions = ()
+        plan = None
+        if len(clauses) > 1:
+            bound_positions = tuple(
+                [position for position, key in enumerate(keys) if key is not None]
+            )
+            if bound_positions:
+                goal_keys = keys
+                if not self.indexing and self.scan_plans and keys[0] is not None:
+                    plan = self._scan_plan(clauses, keys[0])
+        selection = (
+            clauses, self.compiled_program(indicator), goal_keys,
+            bound_positions, plan,
+        )
+        if events is None:
+            if len(self._selections) > 4096:
+                self._selections.clear()
+            self._selections[cache_key] = selection
+        return selection
+
     @staticmethod
     def _build_position_index(
         clauses: List[Clause], position: int
@@ -586,31 +580,20 @@ class Database:
             ).append(clause)
         return buckets
 
-    def scan_plan(self, indicator: Indicator, clauses: List[Clause], key):
+    @staticmethod
+    def _scan_plan(clauses: List[Clause], key):
         """Bulk fast-reject plan for a full-predicate scan, or ``None``.
 
-        Applies only when ``clauses`` is the *unnarrowed* stored list
-        (``indexing=False``, or an index mode that could not narrow this
-        call) and the call's first argument is bound to ``key``. The
-        plan is a tuple of ``(skipped, clause)`` steps — ``skipped``
-        clauses whose head first-argument fingerprint can never unify
-        with ``key``, followed by one survivor — ending with a
-        ``(trailing_skipped, None)`` sentinel. The compiled engine
-        charges each skipped clause's counters in one bulk update
-        (identical totals to attempting it) instead of iterating
-        per clause; ``None`` means no clause can be skipped (or plans
-        are disabled) and the plain loop should run.
+        ``clauses`` is a predicate's whole clause list and ``key`` the
+        call's bound first-argument key. The plan is a tuple of
+        ``(skipped, clause)`` steps — ``skipped`` clauses whose head
+        first-argument fingerprint can never unify with ``key``,
+        followed by one survivor — ending with a ``(trailing_skipped,
+        None)`` sentinel. The compiled engine charges each skipped
+        clause's counters in one bulk update (identical totals to
+        attempting it) instead of iterating per clause; ``None`` means
+        no clause can be skipped and the plain loop should run.
         """
-        if not self.scan_plans:
-            return None
-        if clauses is not self._predicates.get(indicator):
-            return None  # already narrowed by the index
-        plans = self._scan_plans.get(indicator)
-        if plans is None:
-            plans = {}
-            self._scan_plans[indicator] = plans
-        if key in plans:
-            return plans[key]
         steps: List[Tuple[int, Optional[Clause]]] = []
         skipped = 0
         for clause in clauses:
@@ -623,46 +606,9 @@ class Database:
             else:
                 skipped += 1
         if len(steps) == len(clauses):
-            plan = None  # nothing rejectable: the plan buys nothing
-        else:
-            steps.append((skipped, None))
-            plan = tuple(steps)
-        plans[key] = plan
-        return plan
-
-    def _choose_index_position(
-        self, indicator: Indicator, clauses: List[Clause]
-    ) -> int:
-        """0-based argument position to index this predicate on."""
-        if self.index_argument != "auto":
-            return min(int(self.index_argument), indicator[1]) - 1
-        best_position, best_selectivity = 0, -1
-        for position in range(indicator[1]):
-            keys = set()
-            for clause in clauses:
-                head = deref(clause.head)
-                assert isinstance(head, Struct)
-                keys.add(first_arg_key(head.args[position]))
-            # A None key (variable argument) matches everything: it
-            # hurts selectivity, so count distinct concrete keys only.
-            selectivity = len(keys - {None}) - (10 * (None in keys))
-            if selectivity > best_selectivity:
-                best_position, best_selectivity = position, selectivity
-        return best_position
-
-    def _build_index(
-        self, indicator: Indicator, clauses: List[Clause]
-    ) -> Dict[Optional[Tuple], List[Clause]]:
-        position = self._choose_index_position(indicator, clauses)
-        self._index_position[indicator] = position
-        buckets: Dict[Optional[Tuple], List[Clause]] = {}
-        for clause in clauses:
-            head = deref(clause.head)
-            assert isinstance(head, Struct)
-            key = first_arg_key(head.args[position])
-            buckets.setdefault(key, []).append(clause)
-        self._index[indicator] = buckets
-        return buckets
+            return None  # nothing rejectable: the plan buys nothing
+        steps.append((skipped, None))
+        return tuple(steps)
 
     # -- whole-program views ----------------------------------------------
 

@@ -45,7 +45,7 @@ from ..errors import (
 )
 from ..robustness import faults
 from ..robustness.budget import Budget
-from .builtins import BUILTINS, lookup, solve_det
+from .builtins import lookup, solve_det
 from .compile import flatten_conjunction
 from .database import Database
 from .metrics import Metrics
@@ -57,7 +57,6 @@ from .terms import (
     Term,
     Var,
     deref,
-    functor_indicator,
     is_callable_term,
     rename_term,
     term_variables,
@@ -237,12 +236,6 @@ class Engine:
         #: producer, which calls ``engine._solve_user`` directly) pays
         #: no per-call branching.
         self.compiled = compiled
-        #: Clause-selection memo for the VM call path, keyed by
-        #: ``(indicator, arg_keys)`` with the database generation
-        #: stored in each cell — index probes are a pure function of
-        #: the argument keys, so a generation-validated hit skips the
-        #: defines/matching/compiled-program lookups entirely.
-        self._vm_call_cache: dict = {}
         if compiled:
             from .vm import solve_vm
 

@@ -13,7 +13,7 @@ switched on per-call for the property-based tests.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .terms import Atom, Struct, Term, Var, deref, is_number
 

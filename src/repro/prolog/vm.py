@@ -75,9 +75,11 @@ iterators and abandoned boxes in LIFO order; the trail is deliberately
 *not* undone (bindings made left of the cut are part of the committed
 solution).
 
-The machine emits the interpreter's ``IndexEvent``/``TableEvent``
-sequence while the structural event bus is attached, because the
-clause-selection memo is bypassed while ``database.events`` is set.
+Every call, the root call included, takes its clause selection from
+:meth:`~repro.prolog.database.Database.select`. The machine emits the
+interpreter's ``IndexEvent``/``TableEvent`` sequence while the
+structural event bus is attached, because the database's selection
+cache is bypassed while ``database.events`` is set.
 
 Recorder boxes. With ``engine.recorder`` attached, every sampled call
 (user predicate, builtin, negation) opens a box: the call port pushes
@@ -118,7 +120,6 @@ from .compile import (
     VM_TRY,
     _run,
 )
-from .database import first_arg_key
 from .engine import Frame, _runtime_mode
 from .tabling import solve_tabled
 from .terms import Atom, Struct, Var, deref
@@ -284,40 +285,25 @@ class Machine:
 
     # -- call entry -----------------------------------------------------
 
-    def _push_call(self, cont, indicator, args, call_depth: int) -> bool:
-        """Clause selection for the root call: push its choice point.
+    def _push_call(self, cont, args, call_depth: int) -> bool:
+        """Push the root call's choice point over its clause selection.
 
         Returns ``False`` when no clause can match (the call fails
-        without a choice point). Mirrors the inline call entry of
-        :meth:`next_solution` — including the fingerprint setup and the
-        scan-plan condition (a bound first argument). The index probe
-        goes to the database on every root entry, so ``IndexEvent``s
-        are emitted for it.
+        without a choice point). The first attempt runs from the
+        ``CP_CLAUSES``/``CP_PLAN`` backtrack handler (a fresh cursor
+        charges nothing on its first attempt).
         """
         engine = self.engine
+        indicator = self.indicator
         if call_depth >= engine.max_depth:
             raise DepthLimitExceeded(
                 f"depth {engine.max_depth} exceeded at {indicator[0]}/{indicator[1]}"
             )
-        database = engine.database
-        clauses = database.matching_for(indicator, args)
+        clauses, program, goal_keys, bound_positions, plan = (
+            engine.database.select(indicator, args)
+        )
         if not clauses:
             return False
-        program = database.compiled_program(indicator)
-        goal_keys = None
-        bound_positions = ()
-        plan = None
-        if args and len(clauses) > 1:
-            goal_keys = tuple(first_arg_key(arg) for arg in args)
-            bound_positions = tuple(
-                position
-                for position, key in enumerate(goal_keys)
-                if key is not None
-            )
-            if not bound_positions:
-                goal_keys = None
-            elif goal_keys[0] is not None:
-                plan = database.scan_plan(indicator, clauses, goal_keys[0])
         mark = engine.trail.mark()
         if plan is not None:
             self.cps.append(
@@ -459,9 +445,7 @@ class Machine:
         trail_mark = trail.mark
         database = engine.database
         defines = database.defines
-        matching_for = database.matching_for
-        compiled_program = database.compiled_program
-        scan_plan = database.scan_plan
+        select = database.select
         tabled = database.tabled
         table_all = engine.table_all
         bottomup = engine._bottomup
@@ -474,7 +458,6 @@ class Machine:
             hot = recorder.hot
             stride = recorder.sample_every
             metrics = engine.metrics
-        call_cache = engine._vm_call_cache
         cps = self.cps
         cps_append = cps.append
 
@@ -490,12 +473,10 @@ class Machine:
 
         try:
             # Root entry: solve_goal already charged, resolved, and routed
-            # this call, so only clause selection happens here — driven
-            # through the CP_CLAUSES/CP_PLAN backtrack handler (a fresh
-            # cursor charges nothing on its first attempt).
+            # this call, so only clause selection happens here.
             goal = deref(self.goal)
             args = goal.args if isinstance(goal, Struct) else ()
-            if not self._push_call(None, self.indicator, args, self.depth):
+            if not self._push_call(None, args, self.depth):
                 return
             failing = True
 
@@ -651,30 +632,9 @@ class Machine:
                     # first clause attempt runs right here, and a CP is
                     # allocated only when alternatives actually remain —
                     # a deterministic call (the common case) never touches
-                    # the stack. Mirrors _push_call; the two must stay in
-                    # sync.
-                    #
-                    # Clause selection is memoized per (indicator, arg
-                    # keys): index probes depend on the arguments only
-                    # through first_arg_key, so a cell validated against
-                    # the database generation replays the exact lookup —
-                    # clause list, compiled program, fingerprint keys and
-                    # scan plan — without touching the index. The memo is
-                    # bypassed whenever IndexEvents are being observed.
-                    if args:
-                        goal_keys = tuple(map(first_arg_key, args))
-                    else:
-                        goal_keys = ()
-                    cache_key = (indicator, goal_keys)
-                    cached = call_cache.get(cache_key)
-                    if (
-                        cached is None
-                        or cached[0] != database.generation
-                        or database.events is not None
-                    ):
-                        cached = None
-                        if not defines(indicator):
-                            raise ExistenceError(indicator)
+                    # the stack.
+                    if not defines(indicator):
+                        raise ExistenceError(indicator)
                     entry = None
                     if recorder is not None and (
                         indicator not in hot or not metrics.calls % stride
@@ -686,33 +646,9 @@ class Machine:
                             f"depth {max_depth} exceeded at "
                             f"{indicator[0]}/{indicator[1]}"
                         )
-                    if cached is not None:
-                        (_, clauses, program,
-                         goal_keys, bound_positions, plan) = cached
-                    else:
-                        clauses = matching_for(indicator, args,
-                                               goal_keys or None)
-                        program = compiled_program(indicator)
-                        bound_positions = ()
-                        plan = None
-                        if goal_keys and len(clauses) > 1:
-                            bound_positions = tuple(
-                                [p for p, key in enumerate(goal_keys)
-                                 if key is not None]
-                            )
-                            if not bound_positions:
-                                goal_keys = None
-                            elif goal_keys[0] is not None:
-                                plan = scan_plan(indicator, clauses, goal_keys[0])
-                        else:
-                            goal_keys = None
-                        if database.events is None:
-                            if len(call_cache) > 4096:
-                                call_cache.clear()
-                            call_cache[cache_key] = (
-                                database.generation, clauses, program,
-                                goal_keys, bound_positions, plan,
-                            )
+                    clauses, program, goal_keys, bound_positions, plan = select(
+                        indicator, args
+                    )
                     if not clauses:
                         failing = True
                         continue

@@ -21,13 +21,12 @@ Restrictions honoured:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..analysis.fixity import FixityAnalysis
-from ..analysis.modes import Mode
 from ..markov.goal_stats import GoalStats
 from ..prolog.database import Clause
-from ..prolog.terms import Term, Var, deref, rename_term
+from ..prolog.terms import deref, rename_term
 from ..prolog.unify import Trail, unify
 from .restrictions import _contains_cut
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..analysis.modes import Mode, VarState, bind_head_states, mode_str
-from ..prolog.database import Clause, body_goals
-from ..prolog.terms import Term
+from ..prolog.database import Clause
 from ..prolog.writer import term_to_string
 from .goal_search import find_best_order
 from .restrictions import order_constraints, partition_body

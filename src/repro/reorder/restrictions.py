@@ -32,14 +32,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 from ..analysis.fixity import FixityAnalysis
 from ..analysis.semifixity import SemifixityAnalysis
 from ..prolog.database import body_goals
-from ..prolog.terms import (
-    Atom,
-    Struct,
-    Term,
-    Var,
-    deref,
-    term_variables,
-)
+from ..prolog.terms import Atom, Struct, Term, deref, term_variables
 
 __all__ = ["Block", "BlockPartition", "partition_body", "order_constraints"]
 

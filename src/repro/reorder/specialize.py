@@ -17,7 +17,7 @@ the dispatch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..analysis.modes import Mode, ModeItem
 from ..prolog.database import Clause

@@ -29,7 +29,7 @@ exposes the pure goals around the write for reordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.callgraph import CallGraph
 from ..analysis.fixity import FixityAnalysis

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.calibration import CalibrationOptions, EmpiricalCalibrator
-from ..analysis.modes import Mode, all_input_modes, mode_str
+from ..analysis.modes import all_input_modes
 from ..errors import PrologError
 from ..prolog.database import Database
 from ..prolog.engine import Engine

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict
 
 __all__ = ["AdmissionController", "AdmissionDecision"]
 

@@ -119,25 +119,36 @@ def execute_query(job: QueryJob) -> Dict[str, object]:
     """
     if faults.ACTIVE is not None:
         faults.ACTIVE.hit("serve.request")
-    engine = Engine(
-        job.snapshot.database,
-        max_depth=job.max_depth,
-        table_all=job.table_all,
-        budget=job.budget,
-        adjust_recursion_limit=False,
-        eval_strategy=job.eval_strategy,
+    return _answer(
+        job.snapshot.database, job.query, job.budget, job.table_all,
+        job.max_depth, job.eval_strategy, job.recorder,
     )
-    if job.recorder is not None:
+
+
+def _answer(
+    database, query, budget, table_all, max_depth, eval_strategy,
+    recorder=None,
+) -> Dict[str, object]:
+    """The response payload of ``query`` on a fresh engine over
+    ``database``: both backends answer through this function."""
+    engine = Engine(
+        database,
+        max_depth=max_depth,
+        table_all=table_all,
+        budget=budget,
+        adjust_recursion_limit=False,
+        eval_strategy=eval_strategy,
+    )
+    if recorder is not None:
         with _RECORDER_LOCK:
-            attach_recorder(engine, job.recorder)
+            attach_recorder(engine, recorder)
     try:
         started = perf_counter()
-        solutions = engine.ask(job.query)
-        operators = job.snapshot.database.operators
+        solutions = engine.ask(query)
         return {
             "solutions": [
                 {
-                    name: term_to_string(term, operators)
+                    name: term_to_string(term, database.operators)
                     for name, term in solution.bindings.items()
                 }
                 for solution in solutions
@@ -147,7 +158,7 @@ def execute_query(job: QueryJob) -> Dict[str, object]:
             "elapsed_ms": round((perf_counter() - started) * 1e3, 3),
         }
     finally:
-        if job.recorder is not None:
+        if recorder is not None:
             with _RECORDER_LOCK:
                 detach_recorder(engine)
 
@@ -286,29 +297,9 @@ def _process_worker_task(index: int, payload: tuple) -> tuple:
             _WORKER_PROGRAM["generation"] = generation
             _WORKER_PROGRAM["database"] = database
         budget = Budget(deadline=timeout, calls=max_calls, solutions=limit)
-        engine = Engine(
-            database,
-            max_depth=max_depth,
-            table_all=table_all,
-            budget=budget,
-            adjust_recursion_limit=False,
-            eval_strategy=eval_strategy,
-        )
-        started = perf_counter()
-        solutions = engine.ask(query)
-        payload_out = {
-            "solutions": [
-                {
-                    name: term_to_string(term, database.operators)
-                    for name, term in solution.bindings.items()
-                }
-                for solution in solutions
-            ],
-            "count": len(solutions),
-            "calls": engine.metrics.calls,
-            "elapsed_ms": round((perf_counter() - started) * 1e3, 3),
-        }
-        outcome = ("ok", payload_out)
+        outcome = ("ok", _answer(
+            database, query, budget, table_all, max_depth, eval_strategy
+        ))
     except BudgetExceededError as exc:
         outcome = ("budget", (type(exc).__name__, str(exc)))
     except ReproError as exc:

@@ -56,7 +56,7 @@ import threading
 import warnings as _warnings
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from ..errors import (
     BudgetExceededError,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..errors import PrologSyntaxError
 from ..prolog.database import Database

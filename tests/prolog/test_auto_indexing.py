@@ -1,4 +1,4 @@
-"""Tests for best-argument ("auto") indexing."""
+"""Tests for the index choices: multi-argument, first-argument, none."""
 
 import pytest
 
@@ -14,7 +14,7 @@ rec(a, k5). rec(a, k6). rec(a, k7). rec(a, k8).
 
 class TestAutoSelection:
     def test_picks_selective_argument(self):
-        database = Database(index_argument="auto")
+        database = Database(index_argument="multi")
         database.consult(SOURCE)
         picked = database.matching_clauses(parse_term("rec(X, k3)"))
         assert len(picked) == 1
@@ -26,26 +26,28 @@ class TestAutoSelection:
         assert len(picked) == 8  # first arg unbound: everything tried
 
     def test_auto_still_full_scan_when_key_unbound(self):
-        database = Database(index_argument="auto")
+        # The only bound argument selects every clause.
+        database = Database(index_argument="multi")
         database.consult(SOURCE)
         picked = database.matching_clauses(parse_term("rec(a, K)"))
         assert len(picked) == 8
 
     def test_variable_heads_penalised(self):
         source = "p(X, k1). p(X, k2). p(a, Y). p(b, Y)."
-        database = Database(index_argument="auto")
+        database = Database(index_argument="multi")
         database.consult(source)
-        # Position 2 has 2 concrete keys but also 2 variable heads;
-        # position 1 likewise — either is acceptable, behaviour must be
-        # correct: bound lookups return supersets of matches.
+        # Both positions hold variable heads: whichever bucket wins,
+        # the variable-headed clauses must be merged back in.
         engine = Engine(database)
         assert engine.count_solutions("p(a, k1)") == 2  # via X-heads and a-head
 
     def test_answers_identical_across_index_choices(self):
         source = SOURCE + "q(V) :- rec(V, k5).\n"
         reference = None
-        for index_argument in (1, 2, "auto"):
-            database = Database(index_argument=index_argument)
+        for indexing, index_argument in (
+            (True, 1), (True, "multi"), (False, "multi"),
+        ):
+            database = Database(indexing=indexing, index_argument=index_argument)
             database.consult(source)
             answers = sorted(
                 s.key() for s in Engine(database).ask("rec(A, B)")
@@ -55,27 +57,16 @@ class TestAutoSelection:
                 reference = (answers, lookups)
             assert (answers, lookups) == reference
 
-    def test_explicit_position(self):
-        database = Database(index_argument=2)
-        database.consult(SOURCE)
-        assert len(database.matching_clauses(parse_term("rec(X, k3)"))) == 1
-
-    def test_position_beyond_arity_clamped(self):
-        database = Database(index_argument=5)
-        database.consult("u(a). u(b).")
-        assert len(database.matching_clauses(parse_term("u(a)"))) == 1
-
     def test_bad_argument_rejected(self):
-        with pytest.raises(ValueError):
-            Database(index_argument=0)
-        with pytest.raises(ValueError):
-            Database(index_argument="best")
+        for bad in (0, 2, 5, "auto", "best"):
+            with pytest.raises(ValueError):
+                Database(index_argument=bad)
 
     def test_unification_counts_drop(self):
-        auto = Database(index_argument="auto")
-        auto.consult(SOURCE)
+        multi = Database(index_argument="multi")
+        multi.consult(SOURCE)
         first = Database(index_argument=1)
         first.consult(SOURCE)
-        _, auto_metrics = Engine(auto).run("rec(X, k3)")
+        _, multi_metrics = Engine(multi).run("rec(X, k3)")
         _, first_metrics = Engine(first).run("rec(X, k3)")
-        assert auto_metrics.unifications < first_metrics.unifications
+        assert multi_metrics.unifications < first_metrics.unifications

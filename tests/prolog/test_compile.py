@@ -71,9 +71,9 @@ class TestSkeletonShape:
 
     def test_head_key_matches_database_fingerprint(self):
         clause = compiled("rec(foo, X) :- q(X)")
-        assert clause.head_key == first_arg_key(Atom("foo"))
-        assert compiled("p(X) :- q(X)").head_key is None
-        assert compiled("p :- q").head_key is None
+        assert clause.head_keys[0] == first_arg_key(Atom("foo"))
+        assert compiled("p(X) :- q(X)").head_keys[0] is None
+        assert compiled("p :- q").head_keys == ()
 
 
 class TestUnifyHead:
