@@ -24,16 +24,23 @@ Costs: multi-solution blocks are ranked by the all-solutions total
 cost; single-solution blocks (goals committed by a cut) by the Fig. 4
 single-solution expected cost.
 
+Both searches step through one ``_PrefixWalk`` per block. A goal's
+stats and bindings depend only on its own variables' states, so the
+walk keeps a slot vector of the block's variable states and a memo
+from (goal, states of its variables) to (stats, new states). Each pair
+reaches ``CostModel.goal_stats`` once per search, at its first
+occurrence in the search's own order: permutation order for the
+exhaustive search, pop order for A*. The model's memo and warnings
+therefore fill exactly as a search that called the model at every node
+would fill them. The winner's final ``VarState`` is replayed through
+``goal_stats`` once.
+
 The exhaustive search walks the permutations depth-first in
 lexicographic order, so consecutive permutations share their prefix
 and each prefix is evaluated once:
 
 * **Prefix sharing.** The walk keeps one (goal, stats, variable states)
-  entry per depth and steps only the suffix that changes. A goal's
-  stats and bindings depend only on its own variables' states, so each
-  (goal, states) pair reaches ``CostModel.goal_stats`` once, at its
-  first position in permutation order; the model's memo and warnings
-  therefore fill exactly as a full enumeration would fill them. A
+  entry per depth and steps only the suffix that changes. A
   mode-illegal prefix rules out every permutation that starts with it;
   those are counted, not walked.
 * **Bound.** Multi-solution blocks carry the prefix's all-solutions
@@ -51,6 +58,21 @@ and each prefix is evaluated once:
   floats is compensated from Python 3.12 on, and a last-bit difference
   could flip an exact tie. Ties go to the first order found; the full
   evaluation runs once, for the winner.
+
+A* pops prefixes best-first. A node holds its order, the mask of goals
+still to place, the slot vector, the stats, the all-solutions terms
+``c_i·v_i`` and the visit flow ``v_n·p_n``:
+
+* **Ranking.** A multi-solution child appends one term, ``c·v`` with
+  ``v`` from ``formulas.all_solutions_visit``, and ranks by ``sum()``
+  over the terms. These are ``sequence_cost``'s summands in its order,
+  so the heap key is the float a full evaluation gives on every Python
+  version, without re-running the visit recursion over the prefix.
+  Single-solution children rank by ``evaluate_sequence``'s
+  single-solution cost. Ties go to the first child pushed.
+* **Node budget.** When ``node_budget`` children have been generated,
+  the cheapest open prefixes are completed greedily on the same walk
+  (strategy ``astar-greedy``).
 """
 
 from __future__ import annotations
@@ -161,7 +183,7 @@ class OrderResult:
     strategy: str
 
 
-def _rank_cost(stats: List[GoalStats], multi_solution: bool) -> float:
+def _rank_cost(stats: Sequence[GoalStats], multi_solution: bool) -> float:
     """The float an order is ranked by (see the module docstring)."""
     if multi_solution:
         return sequence_cost(stats)
@@ -169,7 +191,8 @@ def _rank_cost(stats: List[GoalStats], multi_solution: bool) -> float:
 
 
 class _PrefixWalk:
-    """One block's depth-first walk over its permutation prefixes.
+    """One block's permutation prefixes: steps, candidates and the
+    exhaustive search's depth-first walk.
 
     Goal sets are bitmasks over goal indices; ``rem`` is the set still
     to place. The walk's variable state is a list with one slot per
@@ -236,8 +259,9 @@ class _PrefixWalk:
         """Stats of goal ``index`` after ``values``, and the values after it.
 
         Each (goal, variable states) pair calls ``CostModel.goal_stats``
-        once, at its first position in permutation order, so the model's
-        memo fills in the order the full enumeration would fill it.
+        once, at its first occurrence in the caller's order, so the
+        model's memo fills in the order a search that called it at every
+        node would fill it.
         """
         slots = self.goal_slots[index]
         key = (index, tuple([values[slot] for slot in slots]))
@@ -340,6 +364,28 @@ class _PrefixWalk:
         return illegal
 
 
+def _replayed(
+    walk: _PrefixWalk,
+    order: Tuple[int, ...],
+    stats: Sequence[GoalStats],
+    explored: int,
+    strategy: str,
+) -> OrderResult:
+    """The result for a chosen order, its final states replayed on a real
+    ``VarState``: the caller gets exactly the dict the from-scratch
+    evaluation would have built."""
+    final = dict(walk.states)
+    for index in order:
+        walk.model.goal_stats(walk.goals[index], final)
+    return OrderResult(
+        order=order,
+        evaluation=evaluate_sequence(stats),
+        states=final,
+        explored=explored,
+        strategy=strategy,
+    )
+
+
 def exhaustive_search(
     goals: Sequence[Term],
     states: VarState,
@@ -360,30 +406,39 @@ def exhaustive_search(
         counters.exhaustive_pruned += walk.pruned
     if walk.best_order is None:
         return None
-    # Replay the winner on a real VarState: the caller gets exactly the
-    # dict the from-scratch evaluation would have built.
-    final = dict(states)
-    for index in walk.best_order:
-        model.goal_stats(goals[index], final)
-    return OrderResult(
-        order=walk.best_order,
-        evaluation=evaluate_sequence(walk.best_stats),
-        states=final,
-        explored=explored,
-        strategy="exhaustive",
-    )
+    return _replayed(walk, walk.best_order, walk.best_stats, explored, "exhaustive")
+
+
+#: An A* node: (rank, tiebreak, order, remaining-goal mask, slot values,
+#: stats, all-solutions terms c_i·v_i, visit flow v_n·p_n).
+_Node = Tuple[float, int, Tuple[int, ...], int, List, Tuple[GoalStats, ...],
+              Tuple[float, ...], float]
+
+
+def _extend(
+    stats_list: Tuple[GoalStats, ...],
+    terms: Tuple[float, ...],
+    flow: float,
+    stats: GoalStats,
+    multi_solution: bool,
+) -> Tuple[float, Tuple[GoalStats, ...], Tuple[float, ...], float]:
+    """A prefix with one more goal: its rank, stats, terms and flow.
+
+    A multi-solution prefix ranks by ``sum()`` over its terms, the same
+    summands in the same order as ``sequence_cost``, so the float is
+    bit-identical to a full evaluation's (see the module docstring).
+    """
+    child_stats = stats_list + (stats,)
+    if not multi_solution:
+        return _rank_cost(child_stats, False), child_stats, terms, flow
+    visits, child_flow = all_solutions_visit(flow, stats.chain_probability)
+    child_terms = terms + (stats.chain_cost * visits,)
+    return sum(child_terms), child_stats, child_terms, child_flow
 
 
 def _greedy_complete(
-    goals: Sequence[Term],
-    blocked_by: Dict[int, Set[int]],
-    order: Tuple[int, ...],
-    stats_list: List[GoalStats],
-    node_states: VarState,
-    model: CostModel,
-    multi_solution: bool,
-    explored: int,
-) -> Optional[OrderResult]:
+    walk: _PrefixWalk, node: _Node, explored: int
+) -> Optional[Tuple[Tuple[int, ...], Tuple[GoalStats, ...], int]]:
     """Finish a prefix greedily: cheapest legal goal next, every step.
 
     The admissible fallback when the A* node budget runs out: the
@@ -391,41 +446,26 @@ def _greedy_complete(
     bound on any completion), and the greedy tail keeps every
     mode-legality guarantee — only optimality of the *suffix* is
     surrendered. Ties break toward the lower goal index, keeping the
-    fallback deterministic. Returns None from a legality dead end.
+    fallback deterministic. Returns the order, its stats and the
+    explored count, or None from a legality dead end.
     """
-    n = len(goals)
-    chosen = list(order)
-    chosen_stats = list(stats_list)
-    states = dict(node_states)
-    while len(chosen) < n:
-        used = set(chosen)
-        best_step: Optional[Tuple[float, int, GoalStats, VarState]] = None
-        for candidate in range(n):
-            if candidate in used:
-                continue
-            if blocked_by[candidate] - used:
-                continue
-            scratch = dict(states)
-            stats = model.goal_stats(goals[candidate], scratch)
-            if stats is None:
+    _, _, order, rem, values, stats_list, terms, flow = node
+    while rem:
+        best = None
+        for index in walk.candidates(rem):
+            step = walk.step(index, values)
+            if step is None:
                 continue
             explored += 1
-            cost = _rank_cost(chosen_stats + [stats], multi_solution)
-            if best_step is None or cost < best_step[0]:
-                best_step = (cost, candidate, stats, scratch)
-        if best_step is None:
+            extended = _extend(stats_list, terms, flow, step[0], walk.multi_solution)
+            if best is None or extended[0] < best[0][0]:
+                best = (extended, index, step[1])
+        if best is None:
             return None
-        _, candidate, stats, states = best_step
-        chosen.append(candidate)
-        chosen_stats.append(stats)
-    evaluation = evaluate_sequence(chosen_stats)
-    return OrderResult(
-        order=tuple(chosen),
-        evaluation=evaluation,
-        states=states,
-        explored=explored,
-        strategy="astar-greedy",
-    )
+        (_, stats_list, terms, flow), index, values = best
+        order += (index,)
+        rem &= ~(1 << index)
+    return order, stats_list, explored
 
 
 def astar_search(
@@ -446,21 +486,17 @@ def astar_search(
     an unbounded search. ``budget`` adds deadline/cancel checks per
     expansion.
     """
-    n = len(goals)
-    blocked_by: Dict[int, Set[int]] = {i: set() for i in range(n)}
-    for before, after in constraints:
-        blocked_by[after].add(before)
-
-    counter = itertools.count()  # deterministic tie-breaking
-    # Heap entries: (cost, tiebreak, order, stats list, states)
-    start: Tuple[float, int, Tuple[int, ...], List[GoalStats], VarState] = (
-        0.0, next(counter), (), [], dict(states),
+    walk = _PrefixWalk(goals, states, model, constraints, multi_solution, budget)
+    tiebreak = itertools.count()  # deterministic tie-breaking
+    start: _Node = (
+        0.0, next(tiebreak), (), (1 << len(goals)) - 1, walk.initial, (), (), 1.0,
     )
     heap = [start]
     explored = 0
     exhausted = False
     while heap:
-        cost, _, order, stats_list, node_states = heapq.heappop(heap)
+        node = heapq.heappop(heap)
+        cost, _, order, rem, values, stats_list, terms, flow = node
         if budget is not None:
             budget.check("goal_search.astar")
         if node_budget is not None and explored >= node_budget:
@@ -469,51 +505,31 @@ def astar_search(
             exhausted = True
             # Greedily finish the cheapest open prefixes until one
             # completes legally; every pop is still best-first.
-            result = _greedy_complete(
-                goals, blocked_by, order, stats_list, node_states,
-                model, multi_solution, explored,
-            )
-            if result is not None:
-                return result
+            completed = _greedy_complete(walk, node, explored)
+            if completed is not None:
+                return _replayed(walk, *completed, "astar-greedy")
             continue
-        if len(order) == n:
-            evaluation = evaluate_sequence(stats_list)
-            return OrderResult(
-                order=order,
-                evaluation=evaluation,
-                states=node_states,
-                explored=explored,
-                strategy="astar",
-            )
-        used = set(order)
-        for candidate in range(n):
-            if candidate in used:
-                continue
-            if blocked_by[candidate] - used:
-                continue  # a must-precede goal is not placed yet
+        if not rem:
+            return _replayed(walk, order, stats_list, explored, "astar")
+        for index in walk.candidates(rem):
             explored += 1
-            child_states = dict(node_states)
-            stats = model.goal_stats(goals[candidate], child_states)
-            if stats is None:
+            step = walk.step(index, values)
+            if step is None:
                 if counters is not None:
                     counters.astar_pruned += 1
                 continue  # illegal in this position: prune
-            child_stats = stats_list + [stats]
-            child_cost = _rank_cost(child_stats, multi_solution)
+            stats, child = step
+            child_cost, child_stats, child_terms, child_flow = _extend(
+                stats_list, terms, flow, stats, multi_solution
+            )
             if counters is not None:
                 counters.astar_expanded += 1
                 if child_cost < cost - 1e-9:
                     counters.admissibility_violations += 1
-            heapq.heappush(
-                heap,
-                (
-                    child_cost,
-                    next(counter),
-                    order + (candidate,),
-                    child_stats,
-                    child_states,
-                ),
-            )
+            heapq.heappush(heap, (
+                child_cost, next(tiebreak), order + (index,),
+                rem & ~(1 << index), child, child_stats, child_terms, child_flow,
+            ))
             if counters is not None and len(heap) > counters.astar_heap_peak:
                 counters.astar_heap_peak = len(heap)
     return None

@@ -10,26 +10,40 @@ surface. Invariants:
 * the chosen order's model cost is never above the source order's;
 * the prefix-sharing, cost-bounded exhaustive search agrees bit for bit
   with a from-scratch evaluation of every permutation (the oracle below),
-  down to the cost model's memo and warnings.
+  down to the cost model's memo and warnings;
+* A* on the walk's memo agrees bit for bit with the per-node
+  dict-copying A* it replaced (the second oracle), node budget and
+  greedy completion included, and ranks every child by exactly the
+  float a full evaluation gives, even when ``sum()`` is compensated.
 """
 
 import dataclasses
+import functools
+import heapq
 import itertools
+import math
 import random
+import types
+from typing import Dict, List, Optional, Set, Tuple
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.analysis.declarations import Declarations
-from repro.analysis.modes import bind_head_states, parse_mode_string
+from repro.analysis.modes import VarState, bind_head_states, parse_mode_string
+from repro.markov import formulas
+from repro.markov.clause_model import evaluate_sequence
+from repro.markov.goal_stats import GoalStats
 from repro.markov.predicate_model import CostModel
+from repro.programs import REGISTRY
 from repro.prolog import Database, parse_term
 from repro.prolog.database import body_goals, split_clause
-from repro.reorder import Reorderer, goal_search
+from repro.reorder import ReorderOptions, Reorderer, goal_search
 from repro.reorder.goal_search import (
     OrderResult,
     SearchCounters,
+    _rank_cost,
     astar_search,
     exhaustive_search,
 )
@@ -156,6 +170,154 @@ def _oracle_exhaustive_search(
     return best
 
 
+def _oracle_greedy_complete(
+    goals,
+    blocked_by: Dict[int, Set[int]],
+    order: Tuple[int, ...],
+    stats_list: List[GoalStats],
+    node_states: VarState,
+    model: CostModel,
+    multi_solution: bool,
+    explored: int,
+) -> Optional[OrderResult]:
+    """Finish a prefix greedily: cheapest legal goal next, every step.
+
+    The admissible fallback when the A* node budget runs out: the
+    prefix handed in is the cheapest open node (its f-value is a lower
+    bound on any completion), and the greedy tail keeps every
+    mode-legality guarantee — only optimality of the *suffix* is
+    surrendered. Ties break toward the lower goal index, keeping the
+    fallback deterministic. Returns None from a legality dead end.
+    """
+    n = len(goals)
+    chosen = list(order)
+    chosen_stats = list(stats_list)
+    states = dict(node_states)
+    while len(chosen) < n:
+        used = set(chosen)
+        best_step: Optional[Tuple[float, int, GoalStats, VarState]] = None
+        for candidate in range(n):
+            if candidate in used:
+                continue
+            if blocked_by[candidate] - used:
+                continue
+            scratch = dict(states)
+            stats = model.goal_stats(goals[candidate], scratch)
+            if stats is None:
+                continue
+            explored += 1
+            cost = _rank_cost(chosen_stats + [stats], multi_solution)
+            if best_step is None or cost < best_step[0]:
+                best_step = (cost, candidate, stats, scratch)
+        if best_step is None:
+            return None
+        _, candidate, stats, states = best_step
+        chosen.append(candidate)
+        chosen_stats.append(stats)
+    evaluation = evaluate_sequence(chosen_stats)
+    return OrderResult(
+        order=tuple(chosen),
+        evaluation=evaluation,
+        states=states,
+        explored=explored,
+        strategy="astar-greedy",
+    )
+
+
+def _oracle_astar_search(
+    goals,
+    states: VarState,
+    model: CostModel,
+    constraints,
+    multi_solution: bool = True,
+    counters: Optional[SearchCounters] = None,
+    node_budget: Optional[int] = None,
+    budget=None,
+) -> Optional[OrderResult]:
+    """Best-first search over ordered prefixes (Smith & Genesereth / A*).
+
+    ``node_budget`` caps the number of generated children; when it runs
+    out, the cheapest open prefix is completed greedily (strategy
+    ``astar-greedy``) so the block still gets a legal order instead of
+    an unbounded search. ``budget`` adds deadline/cancel checks per
+    expansion.
+
+    The A* that copied the state dict and called ``goal_stats`` for
+    every child, and re-summed ``sequence_cost`` over the whole prefix.
+    """
+    n = len(goals)
+    blocked_by: Dict[int, Set[int]] = {i: set() for i in range(n)}
+    for before, after in constraints:
+        blocked_by[after].add(before)
+
+    counter = itertools.count()  # deterministic tie-breaking
+    # Heap entries: (cost, tiebreak, order, stats list, states)
+    start: Tuple[float, int, Tuple[int, ...], List[GoalStats], VarState] = (
+        0.0, next(counter), (), [], dict(states),
+    )
+    heap = [start]
+    explored = 0
+    exhausted = False
+    while heap:
+        cost, _, order, stats_list, node_states = heapq.heappop(heap)
+        if budget is not None:
+            budget.check("goal_search.astar")
+        if node_budget is not None and explored >= node_budget:
+            if counters is not None and not exhausted:
+                counters.astar_budget_exhausted += 1
+            exhausted = True
+            # Greedily finish the cheapest open prefixes until one
+            # completes legally; every pop is still best-first.
+            result = _oracle_greedy_complete(
+                goals, blocked_by, order, stats_list, node_states,
+                model, multi_solution, explored,
+            )
+            if result is not None:
+                return result
+            continue
+        if len(order) == n:
+            evaluation = evaluate_sequence(stats_list)
+            return OrderResult(
+                order=order,
+                evaluation=evaluation,
+                states=node_states,
+                explored=explored,
+                strategy="astar",
+            )
+        used = set(order)
+        for candidate in range(n):
+            if candidate in used:
+                continue
+            if blocked_by[candidate] - used:
+                continue  # a must-precede goal is not placed yet
+            explored += 1
+            child_states = dict(node_states)
+            stats = model.goal_stats(goals[candidate], child_states)
+            if stats is None:
+                if counters is not None:
+                    counters.astar_pruned += 1
+                continue  # illegal in this position: prune
+            child_stats = stats_list + [stats]
+            child_cost = _rank_cost(child_stats, multi_solution)
+            if counters is not None:
+                counters.astar_expanded += 1
+                if child_cost < cost - 1e-9:
+                    counters.admissibility_violations += 1
+            heapq.heappush(
+                heap,
+                (
+                    child_cost,
+                    next(counter),
+                    order + (candidate,),
+                    child_stats,
+                    child_states,
+                ),
+            )
+            if counters is not None and len(heap) > counters.astar_heap_peak:
+                counters.astar_heap_peak = len(heap)
+    return None
+
+
 @st.composite
 def search_programs(draw):
     """(source, head mode, multi_solution, constraints): goals over three
@@ -280,14 +442,84 @@ class TestPrefixSharedSearchMatchesOracle:
         assert actual[1].exhaustive_pruned == 0
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_reorderer_output_matches_oracle_search(seed, monkeypatch):
-    source = _long_body_program(random.Random(seed))
+class TestWalkAStarMatchesOracle:
+    @given(search_programs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_copying_oracle(self, program):
+        source, head_mode, multi_solution, constraints = program
+        database = Database.from_source(source)
+        _assert_same_search(
+            _run_search(_oracle_astar_search, database, head_mode,
+                        multi_solution, constraints),
+            _run_search(astar_search, database, head_mode,
+                        multi_solution, constraints),
+        )
 
+    @given(search_programs(), st.integers(min_value=0, max_value=12))
+    @settings(max_examples=100, deadline=None)
+    def test_node_budget_matches_oracle(self, program, node_budget):
+        # Small budgets run out mid-search, so the greedy completion runs.
+        source, head_mode, multi_solution, constraints = program
+        database = Database.from_source(source)
+        _assert_same_search(
+            _run_search(functools.partial(_oracle_astar_search, node_budget=node_budget),
+                        database, head_mode, multi_solution, constraints),
+            _run_search(functools.partial(astar_search, node_budget=node_budget),
+                        database, head_mode, multi_solution, constraints),
+        )
+
+    @given(search_programs())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_keys_are_full_evaluations_under_compensated_sum(self, program):
+        # Python 3.12's sum() is compensated; math.fsum stands in for it
+        # on older versions. A child's heap key must still be the float
+        # _rank_cost gives its whole prefix, not a running total.
+        source, head_mode, multi_solution, constraints = program
+        pushed = []
+
+        def heappush(heap, node):
+            pushed.append((node[0], node[5]))  # rank and stats: goal_search._Node
+            heapq.heappush(heap, node)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (goal_search, formulas):
+                patch.setattr(module, "sum", math.fsum, raising=False)
+            patch.setattr(goal_search, "heapq", types.SimpleNamespace(
+                heappush=heappush, heappop=heapq.heappop,
+            ))
+            _run_search(astar_search, Database.from_source(source), head_mode,
+                        multi_solution, constraints)
+            for key, stats in pushed:
+                assert key.hex() == _rank_cost(list(stats), multi_solution).hex()
+
+
+def _reorder_with_oracles(source, monkeypatch, options=None):
     def reorder():
-        program = Reorderer(Database.from_source(source)).reorder()
-        return program.source(), program.report.to_dict()
+        reorderer = Reorderer(Database.from_source(source), options)
+        program = reorderer.reorder()
+        counters = reorderer.search_counters.to_dict()
+        del counters["exhaustive_pruned"]  # the oracle has no bound
+        return program.source(), program.report.to_dict(), counters
 
     actual = reorder()
     monkeypatch.setattr(goal_search, "exhaustive_search", _oracle_exhaustive_search)
+    monkeypatch.setattr(goal_search, "astar_search", _oracle_astar_search)
     assert reorder() == actual
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reorderer_output_matches_oracle_search(seed, monkeypatch):
+    _reorder_with_oracles(_long_body_program(random.Random(seed)), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["p58", "team", "geography"])
+def test_astar_program_output_matches_oracle_search(name, monkeypatch):
+    _reorder_with_oracles(REGISTRY[name].source(), monkeypatch)
+
+
+@pytest.mark.parametrize("node_budget", [1, 7, 50, 400])
+def test_p58_node_budget_output_matches_oracle_search(node_budget, monkeypatch):
+    _reorder_with_oracles(
+        REGISTRY["p58"].source(), monkeypatch,
+        ReorderOptions(astar_node_budget=node_budget),
+    )
