@@ -7,13 +7,13 @@ the Fig. 4 / Fig. 5 transition matrices for ``k :- a, b, c, d``, and
 shows how per-goal statistics drive the choice between goal orders.
 """
 
-import numpy as np
+from typing import List, Sequence
 
 from repro.experiments.figures import figure1, figure2, figures_4_5
 from repro.markov import GoalStats, evaluate_sequence
 
 
-def show_matrix(name: str, matrix: np.ndarray, labels) -> None:
+def show_matrix(name: str, matrix: List[List[float]], labels: Sequence[str]) -> None:
     print(f"\n{name} (rows/cols: {', '.join(labels)})")
     for row_label, row in zip(labels, matrix):
         cells = "  ".join(f"{value:5.2f}" for value in row)

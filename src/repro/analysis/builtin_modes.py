@@ -54,10 +54,6 @@ class BuiltinProfile:
                 return entry
         return None
 
-    @property
-    def pairs(self) -> List[ModePair]:
-        return [entry.pair for entry in self.entries]
-
 
 def _entry(
     input_text: str,

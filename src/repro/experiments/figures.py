@@ -98,8 +98,9 @@ def figures_4_5(
     costs: Tuple[float, ...] = (5.0, 3.0, 4.0, 2.0),
 ) -> Dict[str, object]:
     """The Fig. 4/Fig. 5 chains of ``k :- a, b, c, d`` for concrete
-    probabilities: the transition matrices (paper state layout) and the
-    derived visit counts / costs from ``N = (I − Q)^{-1}``."""
+    probabilities: the transition matrices (lists of rows in the paper's
+    state layout) and the derived visit counts / costs from
+    ``N = (I − Q)^{-1}``."""
     single = single_solution_analysis(probs, costs)
     multiple = all_solutions_analysis(probs, costs)
     return {

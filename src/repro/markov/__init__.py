@@ -11,7 +11,6 @@ from .chain import (
     gaussian_solve,
     single_solution_analysis,
     single_solution_matrix,
-    solve_linear_system,
 )
 from .clause_model import SequenceEvaluation, evaluate_sequence, sequence_cost
 from .formulas import (
@@ -51,5 +50,4 @@ __all__ = [
     "single_solution_analysis",
     "single_solution_matrix",
     "single_solution_success_closed_form",
-    "solve_linear_system",
 ]

@@ -17,9 +17,11 @@ From the transition matrix ``P`` partitioned into transient/absorbing
 blocks, ``N = (I − Q)^{-1}`` gives the expected visit counts (first row,
 since the process starts at the first goal) and ``N·R`` the absorption
 probabilities — "textbook mathematics" [Kemeny & Snell]. The paper
-suggests calling a C routine to build and invert the matrix; numpy's
-``linalg.solve`` plays that role, with a pure-Python Gaussian
-elimination fallback that the tests cross-check.
+suggests calling a C routine to build and invert the matrix;
+:func:`gaussian_solve`, a pure-Python Gaussian elimination, plays that
+role here. Matrices are lists of rows. The reorderer itself uses the
+closed forms of :mod:`repro.markov.formulas`, which the tests check
+against this matrix path.
 
 Probabilities equal to 1 make the all-solutions chain non-absorbing
 (a never-failing goal backtracks forever); callers should clamp, and
@@ -28,10 +30,9 @@ Probabilities equal to 1 make the all-solutions chain non-absorbing
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 __all__ = [
     "ChainResult",
@@ -41,9 +42,11 @@ __all__ = [
     "all_solutions_matrix",
     "single_solution_analysis",
     "all_solutions_analysis",
-    "solve_linear_system",
     "gaussian_solve",
 ]
+
+#: A matrix as a list of rows.
+Matrix = List[List[float]]
 
 #: Default upper clamp for success probabilities (keeps chains absorbing).
 P_MAX = 1.0 - 1e-9
@@ -82,39 +85,39 @@ class AllSolutionsResult:
     cost_per_solution: float
 
 
-def single_solution_matrix(probs: Sequence[float]) -> np.ndarray:
+def single_solution_matrix(probs: Sequence[float]) -> Matrix:
     """The full transition matrix of Fig. 4 (states: S, F, g1..gn)."""
     n = len(probs)
     size = n + 2
-    matrix = np.zeros((size, size))
-    matrix[0, 0] = 1.0  # S absorbing
-    matrix[1, 1] = 1.0  # F absorbing
+    matrix = [[0.0] * size for _ in range(size)]
+    matrix[0][0] = 1.0  # S absorbing
+    matrix[1][1] = 1.0  # F absorbing
     for i, p in enumerate(probs):
-        row = 2 + i
+        row = matrix[2 + i]
         # Backward: to previous goal, or to F from the first goal.
-        matrix[row, 1 if i == 0 else row - 1] = 1.0 - p
+        row[1 if i == 0 else 1 + i] = 1.0 - p
         # Forward: to next goal, or to S from the last goal.
-        matrix[row, 0 if i == n - 1 else row + 1] = p
+        row[0 if i == n - 1 else 3 + i] = p
     return matrix
 
 
-def all_solutions_matrix(probs: Sequence[float]) -> np.ndarray:
+def all_solutions_matrix(probs: Sequence[float]) -> Matrix:
     """The full transition matrix of Fig. 5 (states: F, g1..gn, S)."""
     n = len(probs)
     size = n + 2
-    matrix = np.zeros((size, size))
-    matrix[0, 0] = 1.0  # F absorbing
+    matrix = [[0.0] * size for _ in range(size)]
+    matrix[0][0] = 1.0  # F absorbing
     for i, p in enumerate(probs):
-        row = 1 + i
-        matrix[row, row - 1] = 1.0 - p  # backward (row 1 backs into F)
-        matrix[row, row + 1] = p        # forward (last goal into S)
-    matrix[n + 1, n] = 1.0  # S returns to the last goal
+        row = matrix[1 + i]
+        row[i] = 1.0 - p  # backward (row 1 backs into F)
+        row[i + 2] = p    # forward (last goal into S)
+    matrix[n + 1][n] = 1.0  # S returns to the last goal
     return matrix
 
 
-def gaussian_solve(matrix: List[List[float]], rhs: List[List[float]]) -> List[List[float]]:
+def gaussian_solve(matrix: Matrix, rhs: Matrix) -> Matrix:
     """Solve ``matrix · X = rhs`` by Gaussian elimination with partial
-    pivoting — the pure-Python stand-in for the external C routine."""
+    pivoting — the stand-in for the paper's external C routine."""
     n = len(matrix)
     width = len(rhs[0])
     # Build the augmented matrix.
@@ -136,21 +139,20 @@ def gaussian_solve(matrix: List[List[float]], rhs: List[List[float]]) -> List[Li
     return [row[n : n + width] for row in augmented]
 
 
-def solve_linear_system(matrix: np.ndarray, rhs: np.ndarray, use_numpy: bool = True) -> np.ndarray:
-    """Solve ``matrix · x = rhs`` (1-D rhs) with numpy or the fallback."""
-    if use_numpy:
-        return np.linalg.solve(matrix, rhs)
-    solution = gaussian_solve(
-        [list(map(float, row)) for row in matrix],
-        [[float(value)] for value in rhs],
-    )
-    return np.array([row[0] for row in solution])
+def _first_visit_row(transient: Matrix) -> List[float]:
+    """First row of ``N = (I − Q)^{-1}``: the expected visits starting
+    from the first transient state, from ``(I − Q)ᵀ x = e₁``."""
+    size = len(transient)
+    system = [
+        [(1.0 if i == j else 0.0) - transient[j][i] for j in range(size)]
+        for i in range(size)
+    ]
+    unit = [[1.0 if i == 0 else 0.0] for i in range(size)]
+    return [row[0] for row in gaussian_solve(system, unit)]
 
 
 def single_solution_analysis(
-    probs: Sequence[float],
-    costs: Sequence[float],
-    use_numpy: bool = True,
+    probs: Sequence[float], costs: Sequence[float]
 ) -> ChainResult:
     """Visits, success probability, and expected cost of the Fig. 4 chain."""
     if len(probs) != len(costs):
@@ -159,26 +161,19 @@ def single_solution_analysis(
     if n == 0:
         return ChainResult(p_success=1.0, visits=(), expected_cost=0.0)
     probs = [clamp_probability(p) for p in probs]
-    full = single_solution_matrix(probs)
-    transient = full[2:, 2:]          # Q: goal-to-goal transitions
-    into_absorbing = full[2:, :2]     # R: goal-to-{S, F}
-    identity = np.eye(n)
-    # First row of N = (I − Q)^{-1}: visits starting from goal 1.
-    visits = solve_linear_system((identity - transient).T, _unit(n, 0), use_numpy)
-    # Absorption probabilities from goal 1: (N R)[0].
-    absorb = visits @ into_absorbing
-    expected_cost = float(np.dot(visits, np.asarray(costs, dtype=float)))
+    goal_rows = single_solution_matrix(probs)[2:]
+    visits = _first_visit_row([row[2:] for row in goal_rows])  # Q: goal to goal
+    # Absorption in S from goal 1: (N R)[0][S], R the goal-to-{S, F} block.
+    p_success = math.fsum(v * row[0] for v, row in zip(visits, goal_rows))
     return ChainResult(
-        p_success=float(absorb[0]),
-        visits=tuple(float(v) for v in visits),
-        expected_cost=expected_cost,
+        p_success=p_success,
+        visits=tuple(visits),
+        expected_cost=math.fsum(v * c for v, c in zip(visits, costs)),
     )
 
 
 def all_solutions_analysis(
-    probs: Sequence[float],
-    costs: Sequence[float],
-    use_numpy: bool = True,
+    probs: Sequence[float], costs: Sequence[float]
 ) -> AllSolutionsResult:
     """Visits and costs of the Fig. 5 chain (S transient, looping back)."""
     if len(probs) != len(costs):
@@ -189,23 +184,15 @@ def all_solutions_analysis(
             visits=(), success_visits=1.0, total_cost=0.0, cost_per_solution=0.0
         )
     probs = [clamp_probability(p, high=1.0 - 1e-9) for p in probs]
-    full = all_solutions_matrix(probs)
-    transient = full[1:, 1:]  # goals plus S
-    identity = np.eye(n + 1)
-    visits_all = solve_linear_system((identity - transient).T, _unit(n + 1, 0), use_numpy)
+    # Goals plus S are transient.
+    visits_all = _first_visit_row([row[1:] for row in all_solutions_matrix(probs)[1:]])
     goal_visits = visits_all[:n]
-    success_visits = float(visits_all[n])
-    total_cost = float(np.dot(goal_visits, np.asarray(costs, dtype=float)))
+    success_visits = visits_all[n]
+    total_cost = math.fsum(v * c for v, c in zip(goal_visits, costs))
     per_solution = total_cost / success_visits if success_visits > 0 else float("inf")
     return AllSolutionsResult(
-        visits=tuple(float(v) for v in goal_visits),
+        visits=tuple(goal_visits),
         success_visits=success_visits,
         total_cost=total_cost,
         cost_per_solution=per_solution,
     )
-
-
-def _unit(size: int, index: int) -> np.ndarray:
-    vector = np.zeros(size)
-    vector[index] = 1.0
-    return vector

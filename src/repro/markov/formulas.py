@@ -128,7 +128,11 @@ def all_solutions_cost_closed_form(
     if len(probs) != len(costs):
         raise ValueError("probs and costs must have equal length")
     visits, success_visits = all_solutions_visits_closed_form(probs)
-    total = sum(c * v for c, v in zip(costs, visits))
+    # Left to right, not sum(): sum() over floats is compensated from
+    # Python 3.12 on, and goal search breaks exact cost ties on this float.
+    total = 0.0
+    for c, v in zip(costs, visits):
+        total += c * v
     per_solution = total / success_visits if success_visits > 0 else float("inf")
     return total, per_solution
 

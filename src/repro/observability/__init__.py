@@ -39,7 +39,6 @@ from .export import (
     metrics_record,
     profile_header,
     recorder_records,
-    records_to_jsonl,
     report_records,
     solutions_record,
     write_jsonl,
@@ -64,6 +63,5 @@ __all__ = [
     "metrics_record",
     "solutions_record",
     "report_records",
-    "records_to_jsonl",
     "write_jsonl",
 ]

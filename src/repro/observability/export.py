@@ -36,7 +36,6 @@ __all__ = [
     "solutions_record",
     "degenerate_record",
     "report_records",
-    "records_to_jsonl",
     "write_jsonl",
 ]
 
@@ -154,11 +153,6 @@ def report_records(report) -> List[Record]:
         }
     )
     return records
-
-
-def records_to_jsonl(records: Iterable[Record]) -> str:
-    """All records as newline-delimited JSON text (sorted keys)."""
-    return "\n".join(json.dumps(record, sort_keys=True) for record in records)
 
 
 def write_jsonl(records: Iterable[Record], target: Union[str, IO[str]]) -> int:

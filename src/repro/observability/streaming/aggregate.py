@@ -184,8 +184,7 @@ class StreamAggregates:
 
     Two accounting levels: :attr:`total_calls` counts *every* call per
     predicate, sampled or not (the recorder syncs it from the attached
-    engines' own call metrics; standalone users can charge it through
-    :meth:`record_call`), while the per-mode :class:`ModeAggregate`
+    engines' own call metrics), while the per-mode :class:`ModeAggregate`
     entries hold the *sampled* boxes — so ``sampled_rate`` is always
     known and consumers can scale.
     """
@@ -196,12 +195,6 @@ class StreamAggregates:
         #: Every call per predicate, sampled or not.
         self.total_calls: Dict[Indicator, int] = {}
         self._modes: Dict[AggregateKey, ModeAggregate] = {}
-
-    def record_call(self, indicator: Indicator) -> int:
-        """Charge one call (gate path); returns the predicate's count."""
-        count = self.total_calls.get(indicator, 0) + 1
-        self.total_calls[indicator] = count
-        return count
 
     def record_box(
         self,

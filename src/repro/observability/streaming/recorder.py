@@ -90,11 +90,6 @@ class BoxSample:
         self.cost = cost
         self.solutions = solutions
 
-    @property
-    def succeeded(self) -> bool:
-        """Did the box exit at least once?"""
-        return self.solutions > 0
-
     def to_record(self) -> Dict[str, object]:
         """The sample as one flat JSONL-ready dict."""
         return {

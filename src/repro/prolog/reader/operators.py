@@ -84,10 +84,6 @@ class OperatorTable:
         """Is the atom defined as any kind of operator?"""
         return name in self._prefix or name in self._infix
 
-    def lookup(self, name: str) -> Tuple[Optional[OpDef], Optional[OpDef]]:
-        """(prefix definition, infix-or-postfix definition) for ``name``."""
-        return self._prefix.get(name), self._infix.get(name)
-
     def added(self) -> List[Tuple[int, str, str]]:
         """``(priority, type, name)`` of every definition that is not in
         the standard table, prefix ones first, in definition order."""

@@ -131,9 +131,5 @@ class TableStore:
         """Remove a (failed, incomplete) table from the store."""
         self.tables.pop(table.key, None)
 
-    def completed(self) -> List[Table]:
-        """All complete tables, in no particular order."""
-        return [table for table in self.tables.values() if table.complete]
-
     def __len__(self) -> int:
         return len(self.tables)

@@ -78,11 +78,6 @@ class TermWriter:
         self._var_names: Dict[int, str] = {}
         self._used_names: set = set()
 
-    def reset_variable_names(self) -> None:
-        """Forget variable display names (call between clauses)."""
-        self._var_names.clear()
-        self._used_names.clear()
-
     def _variable_name(self, var: Var) -> str:
         name = self._var_names.get(id(var))
         if name is not None:

@@ -54,20 +54,23 @@ and each prefix is evaluated once:
   prefix's Fig. 4 cost is not a lower bound on its completions'.
 * **Exact ranking.** Complete orders are ranked by the same float a
   full evaluation gives (``sequence_cost``, or the single-solution cost
-  of ``evaluate_sequence``), never by the running total: ``sum()`` over
-  floats is compensated from Python 3.12 on, and a last-bit difference
-  could flip an exact tie. Ties go to the first order found; the full
-  evaluation runs once, for the winner.
+  of ``evaluate_sequence``), never by the running total, since a
+  last-bit difference could flip an exact tie. Every cost that ranks an
+  order is summed left to right, never by ``sum()``: ``sum()`` over
+  floats is compensated from Python 3.12 on, so ties would break
+  differently from one Python version to the next. Ties go to the
+  first order found; the full evaluation runs once, for the winner.
 
 A* pops prefixes best-first. A node holds its order, the mask of goals
 still to place, the slot vector, the stats, the all-solutions terms
 ``c_i·v_i`` and the visit flow ``v_n·p_n``:
 
 * **Ranking.** A multi-solution child appends one term, ``c·v`` with
-  ``v`` from ``formulas.all_solutions_visit``, and ranks by ``sum()``
-  over the terms. These are ``sequence_cost``'s summands in its order,
-  so the heap key is the float a full evaluation gives on every Python
-  version, without re-running the visit recursion over the prefix.
+  ``v`` from ``formulas.all_solutions_visit``, and ranks by the terms
+  summed left to right. These are ``sequence_cost``'s summands in its
+  order and summation order, so the heap key is the float a full
+  evaluation gives on every Python version, without re-running the
+  visit recursion over the prefix.
   Single-solution children rank by ``evaluate_sequence``'s
   single-solution cost. Ties go to the first child pushed.
 * **Node budget.** When ``node_budget`` children have been generated,
@@ -105,9 +108,9 @@ DEFAULT_EXHAUSTIVE_LIMIT = 6
 
 Constraint = Tuple[int, int]
 
-#: Relative slack of the exhaustive bound: the running prefix total is
-#: summed left to right, the ranked leaf cost by ``sum()`` (compensated
-#: on Python 3.12+), so they may differ in the last bits.
+#: Relative slack of the exhaustive bound, which compares a running
+#: prefix total with the ranked leaf cost of a full evaluation. Both are
+#: summed left to right; the slack is a guard against cutting a tie.
 _BOUND_MARGIN = 1e-9
 
 
@@ -424,8 +427,8 @@ def _extend(
 ) -> Tuple[float, Tuple[GoalStats, ...], Tuple[float, ...], float]:
     """A prefix with one more goal: its rank, stats, terms and flow.
 
-    A multi-solution prefix ranks by ``sum()`` over its terms, the same
-    summands in the same order as ``sequence_cost``, so the float is
+    A multi-solution prefix ranks by its terms summed left to right, the
+    same summands in the same order as ``sequence_cost``, so the float is
     bit-identical to a full evaluation's (see the module docstring).
     """
     child_stats = stats_list + (stats,)
@@ -433,7 +436,10 @@ def _extend(
         return _rank_cost(child_stats, False), child_stats, terms, flow
     visits, child_flow = all_solutions_visit(flow, stats.chain_probability)
     child_terms = terms + (stats.chain_cost * visits,)
-    return sum(child_terms), child_stats, child_terms, child_flow
+    rank = 0.0
+    for term in child_terms:
+        rank += term
+    return rank, child_stats, child_terms, child_flow
 
 
 def _greedy_complete(

@@ -1,6 +1,7 @@
 """Unit tests pinning the figure reproductions to the paper's numbers."""
 
-import numpy as np
+import math
+
 import pytest
 
 from repro.experiments.figures import figure1, figure2, figures_4_5
@@ -34,8 +35,7 @@ class TestFigures45:
     def test_matrices_stochastic(self):
         result = figures_4_5()
         for key in ("single_matrix", "all_matrix"):
-            matrix = result[key]
-            assert np.allclose(matrix.sum(axis=1), 1.0)
+            assert all(math.isclose(sum(row), 1.0) for row in result[key])
 
     def test_quantities_consistent(self):
         result = figures_4_5()

@@ -1,6 +1,8 @@
 """Unit tests for the absorbing Markov chain analysis (Figs. 4–5)."""
 
-import numpy as np
+import math
+import random
+
 import pytest
 
 from repro.markov.chain import (
@@ -10,41 +12,52 @@ from repro.markov.chain import (
     gaussian_solve,
     single_solution_analysis,
     single_solution_matrix,
-    solve_linear_system,
 )
+
+
+def _rows_sum_to_one(matrix):
+    return all(math.isclose(sum(row), 1.0) for row in matrix)
+
+
+def _max_residual(matrix, x, rhs):
+    """max |A·x − b| over the rows of a linear system."""
+    return max(
+        abs(math.fsum(a * v for a, v in zip(row, x)) - b)
+        for row, b in zip(matrix, rhs)
+    )
 
 
 class TestMatrices:
     def test_single_solution_shape(self):
         matrix = single_solution_matrix([0.5, 0.5])
-        assert matrix.shape == (4, 4)
+        assert len(matrix) == 4 and all(len(row) == 4 for row in matrix)
         # Rows sum to 1 (a stochastic matrix).
-        assert np.allclose(matrix.sum(axis=1), 1.0)
+        assert _rows_sum_to_one(matrix)
 
     def test_single_solution_structure(self):
         p = [0.7, 0.4]
         matrix = single_solution_matrix(p)
-        assert matrix[0, 0] == 1.0 and matrix[1, 1] == 1.0  # S, F absorbing
-        assert matrix[2, 1] == pytest.approx(0.3)  # g1 fails into F
-        assert matrix[2, 3] == pytest.approx(0.7)  # g1 succeeds into g2
-        assert matrix[3, 0] == pytest.approx(0.4)  # g2 succeeds into S
-        assert matrix[3, 2] == pytest.approx(0.6)  # g2 backtracks into g1
+        assert matrix[0][0] == 1.0 and matrix[1][1] == 1.0  # S, F absorbing
+        assert matrix[2][1] == pytest.approx(0.3)  # g1 fails into F
+        assert matrix[2][3] == pytest.approx(0.7)  # g1 succeeds into g2
+        assert matrix[3][0] == pytest.approx(0.4)  # g2 succeeds into S
+        assert matrix[3][2] == pytest.approx(0.6)  # g2 backtracks into g1
 
     def test_paper_fig4_layout_four_goals(self):
         # The paper's P_k has (1-p_a) from goal a into F, p_d from d into S.
         p = [0.9, 0.8, 0.7, 0.6]
         matrix = single_solution_matrix(p)
-        assert matrix[2, 1] == pytest.approx(0.1)
-        assert matrix[5, 0] == pytest.approx(0.6)
+        assert matrix[2][1] == pytest.approx(0.1)
+        assert matrix[5][0] == pytest.approx(0.6)
 
     def test_all_solutions_structure(self):
         p = [0.7, 0.4]
         matrix = all_solutions_matrix(p)
-        assert matrix.shape == (4, 4)
-        assert matrix[0, 0] == 1.0          # F absorbing
-        assert matrix[3, 2] == 1.0          # S returns to the last goal
-        assert matrix[1, 0] == pytest.approx(0.3)  # g1 fails into F
-        assert np.allclose(matrix.sum(axis=1), 1.0)
+        assert len(matrix) == 4 and all(len(row) == 4 for row in matrix)
+        assert matrix[0][0] == 1.0          # F absorbing
+        assert matrix[3][2] == 1.0          # S returns to the last goal
+        assert matrix[1][0] == pytest.approx(0.3)  # g1 fails into F
+        assert _rows_sum_to_one(matrix)
 
 
 class TestSingleSolutionAnalysis:
@@ -94,7 +107,7 @@ class TestAllSolutionsAnalysis:
 
     def test_probability_one_clamped(self):
         result = all_solutions_analysis([1.0], [1.0])
-        assert np.isfinite(result.total_cost)
+        assert math.isfinite(result.total_cost)
 
     def test_empty(self):
         result = all_solutions_analysis([], [])
@@ -102,24 +115,33 @@ class TestAllSolutionsAnalysis:
 
 
 class TestLinearAlgebra:
-    def test_gaussian_matches_numpy(self):
-        rng = np.random.default_rng(7)
-        matrix = rng.random((5, 5)) + 5 * np.eye(5)
-        rhs = rng.random(5)
-        via_numpy = solve_linear_system(matrix, rhs, use_numpy=True)
-        via_fallback = solve_linear_system(matrix, rhs, use_numpy=False)
-        assert np.allclose(via_numpy, via_fallback)
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6, 7])
+    def test_gaussian_residual(self, seed):
+        # Seeded, diagonally dominant 5×5 systems.
+        rng = random.Random(seed)
+        matrix = [
+            [rng.random() + (5.0 if i == j else 0.0) for j in range(5)]
+            for i in range(5)
+        ]
+        rhs = [rng.random() for _ in range(5)]
+        x = [row[0] for row in gaussian_solve(matrix, [[b] for b in rhs])]
+        assert _max_residual(matrix, x, rhs) <= 1e-12
 
     def test_gaussian_singular_raises(self):
         with pytest.raises(ZeroDivisionError):
             gaussian_solve([[1.0, 1.0], [1.0, 1.0]], [[1.0], [2.0]])
 
-    def test_analysis_same_with_fallback(self):
+    def test_analysis_visits_solve_the_chain(self):
+        # The visits are the first row of N = (I − Q)^{-1}, that is the
+        # solution of (I − Q)ᵀ x = e₁ with Q the goal-to-goal block.
         p, c = [0.6, 0.4, 0.8], [3.0, 5.0, 2.0]
-        with_numpy = single_solution_analysis(p, c, use_numpy=True)
-        without = single_solution_analysis(p, c, use_numpy=False)
-        assert with_numpy.p_success == pytest.approx(without.p_success)
-        assert with_numpy.expected_cost == pytest.approx(without.expected_cost)
+        result = single_solution_analysis(p, c)
+        transient = [row[2:] for row in single_solution_matrix(p)[2:]]
+        system = [
+            [(1.0 if i == j else 0.0) - transient[j][i] for j in range(3)]
+            for i in range(3)
+        ]
+        assert _max_residual(system, result.visits, [1.0, 0.0, 0.0]) <= 1e-12
 
 
 class TestClamp:

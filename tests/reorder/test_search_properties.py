@@ -14,7 +14,8 @@ surface. Invariants:
 * A* on the walk's memo agrees bit for bit with the per-node
   dict-copying A* it replaced (the second oracle), node budget and
   greedy completion included, and ranks every child by exactly the
-  float a full evaluation gives, even when ``sum()`` is compensated.
+  float a full evaluation gives, summed left to right even when
+  ``sum()`` is compensated.
 """
 
 import dataclasses
@@ -472,8 +473,9 @@ class TestWalkAStarMatchesOracle:
     @settings(max_examples=100, deadline=None)
     def test_rank_keys_are_full_evaluations_under_compensated_sum(self, program):
         # Python 3.12's sum() is compensated; math.fsum stands in for it
-        # on older versions. A child's heap key must still be the float
-        # _rank_cost gives its whole prefix, not a running total.
+        # on older versions. No ranking may call sum(): a child's heap key
+        # must be the float _rank_cost gives its whole prefix, not a
+        # running total, and the same float as without the stand-in.
         source, head_mode, multi_solution, constraints = program
         pushed = []
 
@@ -482,15 +484,37 @@ class TestWalkAStarMatchesOracle:
             heapq.heappush(heap, node)
 
         with pytest.MonkeyPatch.context() as patch:
-            for module in (goal_search, formulas):
-                patch.setattr(module, "sum", math.fsum, raising=False)
+            _patch_compensated_sum(patch)
             patch.setattr(goal_search, "heapq", types.SimpleNamespace(
                 heappush=heappush, heappop=heapq.heappop,
             ))
             _run_search(astar_search, Database.from_source(source), head_mode,
                         multi_solution, constraints)
-            for key, stats in pushed:
-                assert key.hex() == _rank_cost(list(stats), multi_solution).hex()
+        for key, stats in pushed:
+            assert key.hex() == _rank_cost(list(stats), multi_solution).hex()
+
+    def test_rank_keys_sum_left_to_right(self):
+        # Terms c_i·v_i of 1, 1e-16 and 1e-16 (p = 1/2 gives v_i = 2):
+        # left to right they add up to 1.0, compensated to 1 + 2**-52.
+        terms = (1.0, 1e-16, 1e-16)
+        assert math.fsum(terms) != 1.0
+        stats = [GoalStats(cost=term, solutions=1.0, prob=0.5) for term in terms]
+        with pytest.MonkeyPatch.context() as patch:
+            _patch_compensated_sum(patch)
+            prefix, child_terms, flow = (), (), 1.0
+            for goal in stats:
+                rank, prefix, child_terms, flow = goal_search._extend(
+                    prefix, child_terms, flow, goal, True
+                )
+            assert child_terms == terms
+            assert rank == 1.0
+            assert _rank_cost(stats, True) == 1.0
+
+
+def _patch_compensated_sum(patch):
+    """Give the ranking modules a compensated ``sum``, as on Python 3.12+."""
+    for module in (goal_search, formulas):
+        patch.setattr(module, "sum", math.fsum, raising=False)
 
 
 def _reorder_with_oracles(source, monkeypatch, options=None):

@@ -1,4 +1,5 @@
-"""Every name a ``repro`` module imports is used or re-exported.
+"""Every name a ``repro`` module imports is used or re-exported, and
+the entry points load no third-party package.
 
 No linter runs on this repository, so this AST scan is the guard: an
 import that nothing reads costs an import-time lookup and misleads a
@@ -6,9 +7,17 @@ reader about the module's dependencies. Package ``__init__`` modules
 are skipped (their imports are the package's public surface); any other
 module may keep an import it does not read only by listing the name in
 its ``__all__``.
+
+``repro`` has no runtime dependency, so importing its entry points in a
+fresh interpreter must load nothing from an installed package
+directory but ``repro`` itself.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +81,35 @@ def test_no_unused_imports(path):
         if name not in used
     ]
     assert not unused, f"{path.relative_to(SOURCE_ROOT)}: unused imports {unused}"
+
+
+ENTRY_POINTS = ("repro.cli", "repro.serve", "repro.reorder", "repro.experiments")
+
+#: Prints the file of every module the named imports load, leaving out
+#: what the interpreter loaded at start-up.
+_LOADED_FILES = """
+import json, sys
+before = set(sys.modules)
+for name in sys.argv[1:]:
+    __import__(name)
+print(json.dumps({
+    name: getattr(module, "__file__", None)
+    for name, module in list(sys.modules.items()) if name not in before
+}))
+"""
+
+
+def test_entry_points_load_no_installed_package():
+    env = dict(os.environ, PYTHONPATH=str(SOURCE_ROOT.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_FILES, *ENTRY_POINTS],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = json.loads(result.stdout)
+    assert "repro.cli" in loaded
+    installed = sorted(
+        name for name, path in loaded.items()
+        if path and name.split(".")[0] != "repro"
+        and {"site-packages", "dist-packages"} & set(Path(path).parts)
+    )
+    assert not installed, f"third-party modules loaded: {installed}"
