@@ -12,8 +12,8 @@ backend that suits it.
 All derived state (stratification, relations, per-stratum stats) is
 guarded by the database's ``generation`` counter: any clause mutation
 (a ``serve`` update publishing a new snapshot, a direct
-``add_clause``) invalidates it wholesale, exactly like the compiled-
-program and clause-index caches.
+``add_clause``) invalidates it wholesale (the compiled programs and
+clause indexes are dropped per edited predicate).
 """
 
 from __future__ import annotations

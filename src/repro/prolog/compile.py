@@ -30,8 +30,9 @@ into a :class:`CompiledClause` skeleton where
   arguments cannot match skip unification entirely.
 
 Compiled skeletons are cached per predicate on the
-:class:`~repro.prolog.database.Database` and invalidated wholesale via
-its ``generation`` counter (see ``Database.compiled_program``).
+:class:`~repro.prolog.database.Database`, in the predicate's selection
+entry, which a mutation of that predicate drops (see
+``Database.compiled_program``).
 
 Instruction encoding
 --------------------

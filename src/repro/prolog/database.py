@@ -190,16 +190,116 @@ def _general_arg_key(term: Term):
     return (term.name, term.arity)
 
 
+class _PositionIndex:
+    """The candidates per call key at one discriminating position."""
+
+    __slots__ = ("candidates", "buckets", "wild")
+
+    def __init__(self, buckets: Dict[object, List[Clause]], wild: List[Clause]):
+        #: Head key -> the clauses with that key here, in source order.
+        self.buckets = buckets
+        #: The clauses with a variable here, in source order: they match
+        #: every key.
+        self.wild = wild
+        #: Call key -> candidates. Without variable heads a bucket is
+        #: already the candidate list; with them, :meth:`merge` fills it.
+        self.candidates = buckets if not wild else {}
+
+    def merge(self, key) -> List[Clause]:
+        """The candidates for a key :attr:`candidates` does not hold yet:
+        its bucket merged with the variable heads in source order, or
+        the variable heads alone when no head has the key."""
+        matched = self.buckets.get(key)
+        if matched is None:
+            return self.wild
+        merged = self.candidates[key] = sorted(
+            matched + self.wild, key=lambda clause: clause.index
+        )
+        return merged
+
+
+class _SelectionEntry:
+    """What :meth:`Database.select` knows about one predicate.
+
+    Built from the clause list and its compiled program, whose
+    ``head_keys`` give each clause's key per argument position. A
+    position is *discriminating* when at least one head is not a
+    variable there; only those get a :class:`_PositionIndex`, because a
+    call key elsewhere can reject no clause.
+    """
+
+    __slots__ = ("clauses", "program", "indexes", "whole", "plans")
+
+    def __init__(self, clauses: List[Clause], program: List):
+        self.clauses = clauses
+        self.program = program
+        #: ``(position, index.candidates, index)`` per discriminating
+        #: position, ascending.
+        self.indexes: Tuple[Tuple[int, Dict, _PositionIndex], ...] = ()
+        for position in range(len(program[0].head_keys) if program else 0):
+            buckets: Dict[object, List[Clause]] = {}
+            wild: List[Clause] = []
+            for clause, compiled in zip(clauses, program):
+                key = compiled.head_keys[position]
+                if key is None:
+                    wild.append(clause)
+                else:
+                    buckets.setdefault(key, []).append(clause)
+            if buckets:
+                index = _PositionIndex(buckets, wild)
+                self.indexes += ((position, index.candidates, index),)
+        #: The selection of a call that binds no discriminating position.
+        self.whole = (clauses, program, None, (), None)
+        #: Scan plans per first-argument key; see :meth:`plan`.
+        self.plans: Dict[object, Optional[tuple]] = {}
+
+    def plan(self, key):
+        """Bulk fast-reject plan for a full-predicate scan, or ``None``.
+
+        ``key`` is the call's bound first-argument key (position 0 is
+        discriminating). The plan is a tuple of ``(skipped, clause)``
+        steps — ``skipped`` clauses whose head first-argument
+        fingerprint can never unify with ``key``, followed by one
+        survivor — ending with a ``(trailing_skipped, None)`` sentinel.
+        The compiled engine charges each skipped clause's counters in
+        one bulk update (identical totals to attempting it) instead of
+        iterating per clause; ``None`` means no clause can be skipped
+        and the plain loop should run. Every key no head has shares one
+        plan, so the cache holds at most one plan per head key, plus one.
+        """
+        if key not in self.indexes[0][2].buckets:
+            key = None
+        if key in self.plans:
+            return self.plans[key]
+        steps: List[Tuple[int, Optional[Clause]]] = []
+        skipped = 0
+        for clause, compiled in zip(self.clauses, self.program):
+            head_key = compiled.head_keys[0]
+            if head_key is None or head_key == key:
+                steps.append((skipped, clause))
+                skipped = 0
+            else:
+                skipped += 1
+        plan = None  # nothing rejectable: the plan buys nothing
+        if len(steps) != len(self.clauses):
+            steps.append((skipped, None))
+            plan = tuple(steps)
+        self.plans[key] = plan
+        return plan
+
+
+#: The selection of a call no clause can match.
+_NO_CLAUSES = ((), (), None, (), None)
+
+
 class Database:
     """All clauses of a program, grouped by predicate.
 
     ``indexing=True`` enables argument indexing: for a call with a bound
     argument, only clauses whose head could unify on that argument are
-    attempted (a variable head argument matches any key). The database
-    keeps one bucket index per argument position, built lazily for the
-    positions calls actually bind, and answers each call from the most
-    *selective* bucket among its bound arguments. ``index_argument``
-    limits the positions consulted:
+    attempted (a variable head argument matches any key). Each call is
+    answered from the most *selective* bucket among its bound
+    arguments. ``index_argument`` limits the positions consulted:
 
     * ``"multi"`` (default) — every argument position: the paper's
       §III-A engine that "indexes on the proper arguments", generalized
@@ -208,21 +308,22 @@ class Database:
       what the paper's engines (C-Prolog, SB-Prolog-style) do.
 
     :meth:`select` is the one clause-selection entry point of the
-    compiled engine. It answers from one cache per database, keyed by
-    predicate and argument keys, which every mutation and every change
-    of ``indexing``, ``index_argument`` or ``scan_plans`` empties, and
-    which is neither read nor filled while an event bus is attached to
-    :attr:`events` (so the bus sees every index probe).
+    compiled engine. It answers from one :class:`_SelectionEntry` per
+    predicate, built on first use: the clause list, the compiled
+    program and a bucket index per discriminating argument position.
+    A mutation drops only its own predicate's entry; the entry does not
+    depend on ``indexing``, ``index_argument`` or ``scan_plans``, which
+    :meth:`select` reads on every call. :meth:`matching_for` is the
+    interpreter's selection, with its own lazily built buckets, and the
+    compiled engine's while an event bus is attached to :attr:`events`
+    (so the bus sees every index probe).
 
     ``scan_plans=True`` additionally lets the compiled engine bulk-skip
     fingerprint-rejected clauses on unindexed scans (``indexing=False``)
     without a per-clause Python loop; the skipped clauses' counters are
     still charged exactly as if each had been attempted (see
-    :meth:`_scan_plan`).
+    :meth:`_SelectionEntry.plan`).
     """
-
-    #: Attributes whose assignment changes what :meth:`select` answers.
-    _SELECTION_KNOBS = frozenset(("indexing", "index_argument", "scan_plans"))
 
     def __init__(
         self,
@@ -230,8 +331,6 @@ class Database:
         index_argument: Union[int, str] = "multi",
         scan_plans: bool = True,
     ):
-        #: Selections per ``(indicator, argument keys)``; see select.
-        self._selections: Dict[Tuple, Tuple] = {}
         self.indexing = indexing
         self.index_argument = index_argument
         #: Bulk fast-reject plans enabled (an ablation knob, like
@@ -239,14 +338,11 @@ class Database:
         #: unindexed-scan speedup by toggling it).
         self.scan_plans = scan_plans
         self._predicates: Dict[Indicator, List[Clause]] = {}
-        #: Per predicate, per argument position, key -> clauses buckets;
-        #: positions are indexed lazily.
+        #: :meth:`matching_for`'s buckets: per predicate, per argument
+        #: position, key -> clauses; positions are indexed lazily.
         self._buckets: Dict[Indicator, Dict[int, Dict[Optional[Tuple], List[Clause]]]] = {}
-        #: Compiled skeletons per predicate (see
-        #: :mod:`repro.prolog.compile`), invalidated wholesale whenever
-        #: :attr:`generation` moves past :attr:`_compiled_generation`.
-        self._compiled: Dict[Indicator, List] = {}
-        self._compiled_generation = 0
+        #: :meth:`select`'s entry per predicate, built lazily.
+        self._entries: Dict[Indicator, _SelectionEntry] = {}
         self.directives: List[Term] = []
         #: Predicates declared ``:- table name/arity`` (see
         #: :mod:`repro.prolog.tabling`).
@@ -271,12 +367,10 @@ class Database:
         self.operators = standard_operators()
 
     def __setattr__(self, name: str, value) -> None:
-        if name in self._SELECTION_KNOBS:
-            if name == "index_argument" and value != "multi" and (
-                type(value) is not int or value != 1
-            ):
-                raise ValueError(f"bad index_argument: {value!r}")
-            self._selections.clear()
+        if name == "index_argument" and value != "multi" and (
+            type(value) is not int or value != 1
+        ):
+            raise ValueError(f"bad index_argument: {value!r}")
         object.__setattr__(self, name, value)
 
     # -- construction ---------------------------------------------------
@@ -385,11 +479,11 @@ class Database:
 
     def _changed(self, indicator: Indicator) -> None:
         """Record a mutation of ``indicator``: bump the generation and
-        drop its bucket indexes and every cached selection."""
+        drop its bucket indexes and its selection entry."""
         self.generation += 1
         self._predicate_marks[indicator] = self.generation
         self._buckets.pop(indicator, None)
-        self._selections.clear()
+        self._entries.pop(indicator, None)
 
     # -- queries ---------------------------------------------------------
 
@@ -421,25 +515,24 @@ class Database:
 
         The list is parallel to the predicate's full clause list, so a
         clause selected by :meth:`matching_clauses` finds its skeleton
-        at ``program[clause.index]``. The cache is invalidated
-        wholesale via the existing :attr:`generation` counter: any
-        mutation (:meth:`add_clause`, :meth:`replace_predicate`,
-        :meth:`remove_predicate`) bumps it, and the next lookup
-        recompiles lazily — the same discipline the tabling store uses.
+        at ``program[clause.index]``. It lives in the predicate's
+        selection entry: a mutation of the predicate drops it, and the
+        next lookup recompiles lazily; other predicates keep theirs.
         """
-        if self._compiled_generation != self.generation:
-            self._compiled.clear()
-            self._compiled_generation = self.generation
-        program = self._compiled.get(indicator)
-        if program is None:
+        return self._entry(indicator).program
+
+    def _entry(self, indicator: Indicator) -> "_SelectionEntry":
+        """The selection entry of ``indicator``, built on first use."""
+        entry = self._entries.get(indicator)
+        if entry is None:
             from .compile import compile_clause
 
-            program = [
-                compile_clause(clause)
-                for clause in self._predicates.get(indicator, ())
-            ]
-            self._compiled[indicator] = program
-        return program
+            clauses = self._predicates.get(indicator, [])
+            entry = _SelectionEntry(
+                clauses, [compile_clause(clause) for clause in clauses]
+            )
+            self._entries[indicator] = entry
+        return entry
 
     def matching_clauses(self, goal: Term) -> List[Clause]:
         """Clauses worth trying for ``goal``, respecting indexing."""
@@ -453,10 +546,7 @@ class Database:
         return self.matching_for(indicator, args)
 
     def matching_for(
-        self,
-        indicator: Indicator,
-        args: Tuple[Term, ...],
-        keys: Optional[Tuple[object, ...]] = None,
+        self, indicator: Indicator, args: Tuple[Term, ...]
     ) -> List[Clause]:
         """Candidate clauses for a call, from its indicator and arguments.
 
@@ -465,8 +555,7 @@ class Database:
         built lazily on first probe; the smallest candidate set wins,
         with variable-headed clauses merged back in source order. A call
         with no bound argument, or any call with indexing off, reports
-        an index miss and scans every clause. ``keys``, when given, is
-        the caller's precomputed ``first_arg_key`` per argument.
+        an index miss and scans every clause.
         """
         clauses = self._predicates.get(indicator)
         if clauses is None:
@@ -482,7 +571,7 @@ class Database:
             best_size = total + 1
             best_position = -1
             for position, arg in enumerate(args):
-                key = keys[position] if keys is not None else first_arg_key(arg)
+                key = first_arg_key(arg)
                 if key is None:
                     continue
                 buckets = positions.get(position)
@@ -529,43 +618,76 @@ class Database:
         """Clause selection for one compiled-engine call.
 
         Returns ``(clauses, program, goal_keys, bound_positions, plan)``:
-        the candidates from :meth:`matching_for`, the predicate's
-        :meth:`compiled_program`, the call's ``first_arg_key`` per
-        argument and the positions among them that are bound (``None``
-        and ``()`` unless more than one candidate is left for the head
-        fingerprints to reject), and an unindexed-scan plan or ``None``.
-        Selection depends on the arguments only through their keys, so
-        the answer is cached per ``(indicator, keys)``, up to 4096
-        entries; an attached :attr:`events` bus bypasses the cache.
+        the candidates (those of :meth:`matching_for`, in the same
+        order), the predicate's :meth:`compiled_program`, the call's
+        argument keys indexed by position and the positions whose head
+        fingerprints the engine must still check (``None`` and ``()``
+        when no candidate can be fingerprint-rejected), and an
+        unindexed-scan plan or ``None``.
+
+        Only discriminating positions (some head is not a variable
+        there) are keyed: a predicate without one returns its
+        precomputed whole-predicate selection at once. With indexing on,
+        each bound discriminating position costs one dict probe, and the
+        smallest bucket wins, the first one on a tie, as in
+        :meth:`matching_for`. The chosen position is left out of
+        ``bound_positions``: its bucket's clauses all match it. While an
+        event bus is attached the candidates come from
+        :meth:`matching_for`, which emits the ``IndexEvent``.
         """
-        keys = tuple(map(first_arg_key, args))
-        cache_key = (indicator, keys)
-        events = self.events
-        if events is None:
-            selection = self._selections.get(cache_key)
-            if selection is not None:
-                return selection
-        clauses = self.matching_for(indicator, args, keys or None)
-        goal_keys = None
-        bound_positions = ()
+        entry = self._entries.get(indicator)
+        if entry is None:
+            entry = self._entry(indicator)
+        # The argument positions below the limit are probed.
+        if self.events is not None or not self.indexing:
+            limit = 0
+        elif self.index_argument == 1:
+            limit = 1
+        elif entry.indexes:
+            limit = len(args)
+        else:
+            return entry.whole
+        clauses = entry.clauses
+        best_size = len(clauses) + 1
+        chosen = None
+        bound = 0
+        for position, table, index in entry.indexes:
+            key = args[position]
+            if type(key) is not Atom:  # an atom is its own key
+                key = first_arg_key(key)
+                if key is None:
+                    continue
+            bound += 1
+            if position < limit:
+                candidates = table.get(key)
+                if candidates is None:
+                    candidates = index.merge(key)
+                size = len(candidates)
+                if size < best_size:
+                    if not size:
+                        return _NO_CLAUSES
+                    clauses = candidates
+                    best_size = size
+                    chosen = position
+        if self.events is not None:
+            clauses = self.matching_for(indicator, args)
+        elif chosen is not None:
+            bound -= 1
+        if not bound or len(clauses) < 2:
+            if not clauses:
+                return _NO_CLAUSES
+            return clauses, entry.program, None, (), None
+        # Some candidate may fail a fingerprint: key the other positions.
+        keys = {}
+        for position, _table, _index in entry.indexes:
+            if position != chosen:
+                key = first_arg_key(args[position])
+                if key is not None:
+                    keys[position] = key
         plan = None
-        if len(clauses) > 1:
-            bound_positions = tuple(
-                [position for position, key in enumerate(keys) if key is not None]
-            )
-            if bound_positions:
-                goal_keys = keys
-                if not self.indexing and self.scan_plans and keys[0] is not None:
-                    plan = self._scan_plan(clauses, keys[0])
-        selection = (
-            clauses, self.compiled_program(indicator), goal_keys,
-            bound_positions, plan,
-        )
-        if events is None:
-            if len(self._selections) > 4096:
-                self._selections.clear()
-            self._selections[cache_key] = selection
-        return selection
+        if not self.indexing and self.scan_plans and 0 in keys:
+            plan = entry.plan(keys[0])
+        return clauses, entry.program, keys, tuple(keys), plan
 
     @staticmethod
     def _build_position_index(
@@ -579,36 +701,6 @@ class Database:
                 first_arg_key(head.args[position]), []
             ).append(clause)
         return buckets
-
-    @staticmethod
-    def _scan_plan(clauses: List[Clause], key):
-        """Bulk fast-reject plan for a full-predicate scan, or ``None``.
-
-        ``clauses`` is a predicate's whole clause list and ``key`` the
-        call's bound first-argument key. The plan is a tuple of
-        ``(skipped, clause)`` steps — ``skipped`` clauses whose head
-        first-argument fingerprint can never unify with ``key``,
-        followed by one survivor — ending with a ``(trailing_skipped,
-        None)`` sentinel. The compiled engine charges each skipped
-        clause's counters in one bulk update (identical totals to
-        attempting it) instead of iterating per clause; ``None`` means
-        no clause can be skipped and the plain loop should run.
-        """
-        steps: List[Tuple[int, Optional[Clause]]] = []
-        skipped = 0
-        for clause in clauses:
-            head = deref(clause.head)
-            assert isinstance(head, Struct)
-            head_key = first_arg_key(head.args[0])
-            if head_key is None or head_key == key:
-                steps.append((skipped, clause))
-                skipped = 0
-            else:
-                skipped += 1
-        if len(steps) == len(clauses):
-            return None  # nothing rejectable: the plan buys nothing
-        steps.append((skipped, None))
-        return tuple(steps)
 
     # -- whole-program views ----------------------------------------------
 

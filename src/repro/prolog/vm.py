@@ -76,10 +76,13 @@ iterators and abandoned boxes in LIFO order; the trail is deliberately
 solution).
 
 Every call, the root call included, takes its clause selection from
-:meth:`~repro.prolog.database.Database.select`. The machine emits the
-interpreter's ``IndexEvent``/``TableEvent`` sequence while the
-structural event bus is attached, because the database's selection
-cache is bypassed while ``database.events`` is set.
+:meth:`~repro.prolog.database.Database.select`, which answers from the
+predicate's index tables: ``goal_keys`` maps each position the head
+fingerprints must still check to the call's key there. The machine
+emits the interpreter's ``IndexEvent``/``TableEvent`` sequence while the
+structural event bus is attached, because ``select`` takes its
+candidates from ``Database.matching_for`` while ``database.events`` is
+set.
 
 Recorder boxes. With ``engine.recorder`` attached, every sampled call
 (user predicate, builtin, negation) opens a box: the call port pushes

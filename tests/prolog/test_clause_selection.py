@@ -1,9 +1,11 @@
-"""The database's one clause-selection cache (``Database.select``).
+"""The database's per-predicate selection tables (``Database.select``).
 
-Selection is a pure function of a call's argument keys, so a cached
-answer must never be observable: answers and counters after any
-mutation or knob change equal those of a freshly built database, and an
-attached event bus sees every index probe even on a warm cache.
+Selection is a pure function of a call's argument keys, so the tables
+must never be observable: answers and counters after any mutation or
+knob change equal those of a freshly built database, and an attached
+event bus sees every index probe even after an uninstrumented warm-up.
+A mutation drops only its own predicate's table, and no call, however
+many distinct keys it brings, adds state of its own.
 """
 
 import sys
@@ -14,6 +16,7 @@ import pytest
 from repro.observability.events import attach
 from repro.prolog import Clause, Database, Engine
 from repro.prolog.reader.parser import parse_term
+from repro.prolog.terms import Atom
 
 SOURCE = """
 edge(a, b). edge(b, c). edge(c, d). edge(a, d).
@@ -50,16 +53,35 @@ def count_probes(database):
     return probes
 
 
+def programs(database):
+    """Every predicate's compiled program, by indicator."""
+    return {
+        indicator: database.compiled_program(indicator)
+        for indicator in database.predicates()
+    }
+
+
+def kept(database, warm):
+    """The predicates whose compiled program is still the one in ``warm``."""
+    return {
+        indicator
+        for indicator, program in programs(database).items()
+        if program is warm.get(indicator)
+    }
+
+
 class TestSharedCache:
     def test_two_engines_share_one_cache(self):
         database = Database.from_source(SOURCE)
         probes = count_probes(database)
         first = [outcome(database, query) for query in QUERIES]
-        warm_probes = len(probes)
-        assert warm_probes > 0
+        warm = programs(database)
         second = [outcome(database, query) for query in QUERIES]
         assert second == first
-        assert len(probes) == warm_probes  # every selection was cached
+        # The second engine selected from the first one's tables, and
+        # without a bus the VM never takes the interpreter's selection.
+        assert kept(database, warm) == set(warm)
+        assert probes == []
 
     def test_cached_answers_match_a_fresh_database(self):
         database = Database.from_source(SOURCE)
@@ -107,13 +129,11 @@ class TestInvalidation:
         database = Database.from_source(SOURCE)
         for query in QUERIES:
             outcome(database, query)
-        assert database._selections
         return database
 
     def test_add_clause(self):
         database = self.warm()
         database.add_clause(Clause(parse_term("edge(d, e)"), parse_term("true")))
-        assert not database._selections
         assert [outcome(database, q) for q in QUERIES] == fresh_outcomes(
             SOURCE + "edge(d, e).\n"
         )
@@ -125,14 +145,12 @@ class TestInvalidation:
             [Clause(parse_term(f"color({node}, red)"), parse_term("true"))
              for node in "abcd"],
         )
-        assert not database._selections
         edited = SOURCE.replace("blue", "red").replace("green", "red")
         assert [outcome(database, q) for q in QUERIES] == fresh_outcomes(edited)
 
     def test_remove_predicate(self):
         database = self.warm()
         database.remove_predicate(("color", 2))
-        assert not database._selections
         for node, shade in (("a", "red"), ("c", "red")):
             database.add_clause(
                 Clause(parse_term(f"color({node}, {shade})"), parse_term("true"))
@@ -144,9 +162,23 @@ class TestInvalidation:
 
     def test_copies_start_empty(self):
         database = self.warm()
-        assert not database.copy()._selections
-        assert not database.snapshot()._selections
-        assert database._selections
+        warm = programs(database)
+        for copy in (database.copy(), database.snapshot()):
+            # A copy compiles its own programs; editing it leaves the
+            # original's tables and answers alone.
+            assert not kept(copy, warm)
+            copy.add_clause(Clause(parse_term("edge(d, e)"), Atom("true")))
+            assert [outcome(copy, q) for q in QUERIES] == fresh_outcomes(
+                SOURCE + "edge(d, e).\n"
+            )
+        assert kept(database, warm) == set(warm)
+        assert [outcome(database, q) for q in QUERIES] == fresh_outcomes(SOURCE)
+
+    def test_edit_keeps_other_predicates_programs(self):
+        database = self.warm()
+        warm = programs(database)
+        database.add_clause(Clause(parse_term("edge(d, e)"), Atom("true")))
+        assert kept(database, warm) == set(warm) - {("edge", 2)}
 
     @pytest.mark.parametrize(
         "knob, value",
@@ -155,7 +187,6 @@ class TestInvalidation:
     def test_knob_change(self, knob, value):
         database = self.warm()
         setattr(database, knob, value)
-        assert not database._selections
         assert [outcome(database, q) for q in QUERIES] == fresh_outcomes(
             SOURCE, **{knob: value}
         )
@@ -179,21 +210,47 @@ class TestEvents:
         def index_events(compiled):
             database = Database.from_source(SOURCE)
             outcome(database, query, compiled=compiled)  # uninstrumented
-            warm = dict(database._selections)
             engine = Engine(database, compiled=compiled)
             bus = attach(engine)
-            engine.ask(query)
-            # The instrumented run neither read nor filled the cache.
-            assert database._selections == warm
+            answers = [s.key() for s in engine.ask(query)]
             records = [event.to_record() for event in bus.by_kind("index")]
             for record in records:
                 del record["ts"]
-            return records, warm
+            return records, answers, engine.metrics.to_dict()
 
-        vm_events, vm_warm = index_events(True)
-        interpreted_events, _ = index_events(False)
-        assert vm_warm  # the VM's warm-up filled the cache
+        vm_events, vm_answers, vm_metrics = index_events(True)
+        interpreted_events, answers, metrics = index_events(False)
         assert vm_events and vm_events == interpreted_events
+        assert vm_answers == answers
+        for counter in ("calls", "unifications", "backtracks", "clause_entries"):
+            assert vm_metrics[counter] == metrics[counter]
+
+
+class TestManyKeys:
+    def test_join_sweep_adds_no_per_call_state(self):
+        # More distinct all-bound key pairs than the 4,096 entries the
+        # old per-call-key cache held before it emptied itself.
+        size = 70
+        source = "".join(
+            f"link({i}, {(i * 3) % size}).\n" for i in range(size)
+        ) + "check(X, Y) :- link(X, Y).\n"
+        database = Database.from_source(source)
+        warm = programs(database)
+        engine = Engine(database)
+        found = 0
+        for left in range(size):
+            for right in range(size):
+                found += len(engine.ask(f"check({left}, {right})"))
+        assert found == size
+        assert size * size > 4096
+        # One entry per predicate, no key beyond the heads' own, and the
+        # programs never rebuilt.
+        assert set(database._entries) == {("link", 2), ("check", 2)}
+        link = database._entries[("link", 2)]
+        for position, candidates, index in link.indexes:
+            assert candidates.keys() == index.buckets.keys()
+            assert len(candidates) == size
+        assert kept(database, warm) == set(warm)
 
 
 class TestIndexArgument:
