@@ -145,6 +145,8 @@ class ModeInference:
         self.max_iterations = max_iterations
         self._memo: Dict[Tuple[Indicator, Mode], Optional[Mode]] = {}
         self._assumption: Dict[Tuple[Indicator, Mode], Mode] = {}
+        #: Per predicate: does it have a ground fact, and its other clauses.
+        self._fact_split: Dict[Indicator, Tuple[bool, List[Clause]]] = {}
         #: Diagnostics produced while inferring (Fig. 3: "informs the
         #: programmer when it cannot infer properties").
         self.warnings: List[str] = []
@@ -191,7 +193,11 @@ class ModeInference:
             self._memo[key] = None
             return None
 
-        result = self._fixpoint(indicator, input_mode)
+        if self._split(indicator)[1]:
+            result = self._fixpoint(indicator, input_mode)
+        else:
+            # Only ground facts: every mode is legal and grounds everything.
+            result = (ModeItem.PLUS,) * len(input_mode)
         self._memo[key] = result
         return result
 
@@ -279,11 +285,31 @@ class ModeInference:
         del self._assumption[key]
         return result
 
+    def _split(self, indicator: Indicator) -> Tuple[bool, List[Clause]]:
+        """Whether ``indicator`` has a ground fact, and its other clauses.
+
+        A ground fact runs in every mode and leaves every argument
+        ground, so all of them together add one ``(+,...,+)`` to the
+        join of a predicate's clause outputs (the join is commutative).
+        """
+        split = self._fact_split.get(indicator)
+        if split is None:
+            ground = False
+            others: List[Clause] = []
+            for clause in self.database.clauses(indicator):
+                if clause.is_fact and term_is_ground(clause.head):
+                    ground = True
+                else:
+                    others.append(clause)
+            split = self._fact_split[indicator] = (ground, others)
+        return split
+
     def _predicate_output(
         self, indicator: Indicator, input_mode: Mode
     ) -> Optional[Mode]:
-        output: Optional[Mode] = None
-        for clause in self.database.clauses(indicator):
+        ground, others = self._split(indicator)
+        output: Optional[Mode] = (ModeItem.PLUS,) * len(input_mode) if ground else None
+        for clause in others:
             clause_output = self._clause_output(clause, input_mode)
             if clause_output is None:
                 continue  # this clause cannot run legally in this mode
@@ -294,9 +320,6 @@ class ModeInference:
 
     def _clause_output(self, clause: Clause, input_mode: Mode) -> Optional[Mode]:
         head = deref(clause.head)
-        if clause.is_fact and term_is_ground(head):
-            # A ground fact runs in every mode and leaves every argument ground.
-            return (ModeItem.PLUS,) * len(input_mode)
         states: VarState = {}
         bind_head_states(head, input_mode, states)
         if not self._exec(clause.body, states):

@@ -5,7 +5,9 @@ these come from costs and probabilities of facts." :class:`CostModel`
 implements exactly that propagation:
 
 * **facts** cost one call; their match probabilities come from Warren
-  domain estimation (:mod:`repro.analysis.domains`);
+  domain estimation (:mod:`repro.analysis.domains`), read from a
+  per-predicate :class:`HeadShapes` table so a fact table costs one
+  evaluation per distinct head shape, not one per fact;
 * **builtins** come from the hand-written table
   (:mod:`repro.analysis.builtin_modes`);
 * **rule predicates** get, per calling mode, a Markov-chain evaluation
@@ -51,7 +53,7 @@ from ..prolog.terms import (
 from .clause_model import SequenceEvaluation, evaluate_sequence
 from .goal_stats import GoalStats
 
-__all__ = ["CostModel", "head_match_probability"]
+__all__ = ["CostModel", "HeadShapes", "head_match_probability"]
 
 Indicator = Tuple[str, int]
 
@@ -90,6 +92,66 @@ def head_match_probability(
     return probability
 
 
+#: Kinds of a head argument in a :class:`HeadShapes` shape.
+_VARIABLE, _CONSTANT, _STRUCTURE = range(3)
+
+
+def _head_shape(head: Term) -> Optional[Tuple[int, ...]]:
+    """The kind of every head argument (``None`` for an atom head)."""
+    head = deref(head)
+    if not isinstance(head, Struct):
+        return None
+    shape = []
+    for arg in head.args:
+        arg = deref(arg)
+        if isinstance(arg, Var):
+            shape.append(_VARIABLE)
+        elif isinstance(arg, Struct):
+            shape.append(_STRUCTURE)
+        else:
+            shape.append(_CONSTANT)
+    return tuple(shape)
+
+
+class HeadShapes:
+    """One predicate's clause heads, reduced to what
+    :func:`head_match_probability` reads: per argument position, whether
+    the head has a variable, a constant or a compound term there. Which
+    constant does not matter: a constant's match probability is one over
+    its position's domain size.
+
+    :meth:`match_probabilities` evaluates each distinct shape once, on
+    the first clause that has it, so every clause gets the bit-identical
+    value of :func:`head_match_probability`; a ground fact table has one
+    shape however many rows it has.
+    """
+
+    __slots__ = ("rows", "representatives")
+
+    def __init__(self, clauses: List[Clause]):
+        index: Dict[Optional[Tuple[int, ...]], int] = {}
+        #: The first clause of each distinct shape.
+        self.representatives: List[Clause] = []
+        #: Per clause, the position of its shape in :attr:`representatives`.
+        self.rows: List[int] = []
+        for clause in clauses:
+            shape = _head_shape(clause.head)
+            row = index.get(shape)
+            if row is None:
+                row = index[shape] = len(self.representatives)
+                self.representatives.append(clause)
+            self.rows.append(row)
+
+    def match_probabilities(self, mode: Mode, domains: DomainAnalysis) -> List[float]:
+        """Per clause, the probability that a call in ``mode`` unifies
+        with its head."""
+        per_shape = [
+            head_match_probability(clause, mode, domains)
+            for clause in self.representatives
+        ]
+        return [per_shape[row] for row in self.rows]
+
+
 class CostModel:
     """Expected cost / solutions / success probability for every call."""
 
@@ -110,6 +172,8 @@ class CostModel:
         self._memo: Dict[Tuple[Indicator, Mode], Optional[GoalStats]] = {}
         self._in_progress: Set[Tuple[Indicator, Mode]] = set()
         self._fact_evaluation: Optional[SequenceEvaluation] = None
+        self._shapes: Dict[Indicator, HeadShapes] = {}
+        self._matches: Dict[Tuple[Indicator, Mode], List[float]] = {}
         self.warnings: List[str] = []
 
     def is_tabled(self, indicator: Indicator) -> bool:
@@ -224,6 +288,22 @@ class CostModel:
 
         return tabled_stats(stats)
 
+    def match_probabilities(self, indicator: Indicator, mode: Mode) -> List[float]:
+        """Per clause of ``indicator``, in order, the probability that a
+        call in ``mode`` unifies with its head (see :class:`HeadShapes`)."""
+        key = (indicator, mode)
+        matches = self._matches.get(key)
+        if matches is None:
+            shapes = self._shapes.get(indicator)
+            if shapes is None:
+                shapes = self._shapes[indicator] = HeadShapes(
+                    self.database.clauses(indicator)
+                )
+            matches = self._matches[key] = shapes.match_probabilities(
+                mode, self.domains
+            )
+        return matches
+
     def _combine_clauses(
         self, indicator: Indicator, mode: Mode
     ) -> Optional[GoalStats]:
@@ -231,8 +311,8 @@ class CostModel:
         total_solutions = 0.0
         miss_probability = 1.0
         any_legal = False
-        for clause in self.database.clauses(indicator):
-            match = head_match_probability(clause, mode, self.domains)
+        clauses = self.database.clauses(indicator)
+        for clause, match in zip(clauses, self.match_probabilities(indicator, mode)):
             if match == 0.0:
                 continue
             body = self.clause_body_evaluation(clause, mode)

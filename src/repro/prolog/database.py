@@ -75,14 +75,14 @@ class Clause:
     #: analyses read it many times per clause, and no code reassigns
     #: :attr:`head`.
     indicator: Indicator = field(init=False, repr=False, compare=False)
+    #: Is the body ``true``? Computed once, like :attr:`indicator`: no
+    #: code reassigns :attr:`body` either.
+    is_fact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.indicator = functor_indicator(self.head)
-
-    @property
-    def is_fact(self) -> bool:
         body = deref(self.body)
-        return isinstance(body, Atom) and body.name == "true"
+        self.is_fact = isinstance(body, Atom) and body.name == "true"
 
     def rename(self) -> Tuple[Term, Term]:
         """A fresh variant (head, body) with variables renamed apart."""
@@ -230,7 +230,9 @@ class _SelectionEntry:
 
     __slots__ = ("clauses", "program", "indexes", "whole", "plans")
 
-    def __init__(self, clauses: List[Clause], program: List):
+    def __init__(self, clauses: Tuple[Clause, ...], program: List):
+        #: Its own tuple, not the database's list: ``add_clause``
+        #: appends to that list, and copies share the entry.
         self.clauses = clauses
         self.program = program
         #: ``(position, index.candidates, index)`` per discriminating
@@ -527,7 +529,7 @@ class Database:
         if entry is None:
             from .compile import compile_clause
 
-            clauses = self._predicates.get(indicator, [])
+            clauses = tuple(self._predicates.get(indicator, ()))
             entry = _SelectionEntry(
                 clauses, [compile_clause(clause) for clause in clauses]
             )
@@ -714,7 +716,10 @@ class Database:
         return [clause.to_term() for clause in self.all_clauses()]
 
     def copy(self) -> "Database":
-        """A shallow copy sharing Clause objects (they are immutable in use)."""
+        """A shallow copy sharing Clause objects (they are immutable in use)
+        and every predicate's selection entry: an entry holds its own
+        clause tuple, so an edit on either side drops only that side's
+        entry of the edited predicate."""
         other = Database(
             indexing=self.indexing,
             index_argument=self.index_argument,
@@ -726,6 +731,7 @@ class Database:
         other.tabled = set(self.tabled)
         other.warnings = list(self.warnings)
         other.operators = self.operators
+        other._entries = dict(self._entries)
         # The copy starts at generation 0 with every predicate unmarked,
         # matching a database consulted from scratch.
         other._predicate_marks = dict.fromkeys(other._predicates, 0)
@@ -742,12 +748,23 @@ class Database:
         :meth:`predicate_marks` directly. Clause objects are shared —
         they are immutable in use (execution always renames or
         instantiates from skeletons) — so the copy is O(predicates),
-        cheap enough to take per update.
+        cheap enough to take per update. So are the selection entries
+        (compiled programs included): after an update, only the edited
+        predicates are compiled and indexed again.
         """
         other = self.copy()
         other.generation = self.generation
         other._predicate_marks = dict(self._predicate_marks)
         return other
+
+    def __getstate__(self) -> dict:
+        # A pickled database ships without its selection tables: the
+        # receiver rebuilds them lazily, and the blob stays the size of
+        # the clauses.
+        state = dict(self.__dict__)
+        state["_entries"] = {}
+        state["_buckets"] = {}
+        return state
 
     def __contains__(self, indicator: Indicator) -> bool:
         return indicator in self._predicates

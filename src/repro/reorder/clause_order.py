@@ -88,8 +88,17 @@ def order_clauses(
     n = len(rankings)
     anchored: dict = {}
     mobile: List[ClauseRanking] = []
+    # Every fact's body is ``true`` (no cut): one verdict serves them all.
+    fact_anchored: Optional[bool] = None
     for index, ranking in enumerate(rankings):
-        if _clause_is_anchored(ranking.clause, fixity):
+        if ranking.clause.is_fact:
+            if fact_anchored is None:
+                fact_anchored = _clause_is_anchored(ranking.clause, fixity)
+            if fact_anchored:
+                anchored[index] = ranking
+            else:
+                mobile.append(ranking)
+        elif _clause_is_anchored(ranking.clause, fixity):
             anchored[index] = ranking
         elif _has_clause_cut(ranking.clause):
             # Mobile only if mutually exclusive with every other clause.

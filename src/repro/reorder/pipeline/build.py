@@ -21,7 +21,6 @@ from ...analysis.modes import (
 )
 from ...markov.clause_model import SequenceEvaluation
 from ...markov.goal_stats import GoalStats
-from ...markov.predicate_model import head_match_probability
 from ...prolog.database import Clause, body_goals, goals_to_body
 from ...prolog.terms import Atom, Struct, Term, deref, functor_indicator
 from ..clause_order import ClauseRanking, order_clauses
@@ -328,6 +327,10 @@ class VersionBuildPhase:
         return versions, True
 
 
+#: The ranking stats of a clause illegal in the version's mode.
+_ILLEGAL = GoalStats(cost=1.0, solutions=0.0, prob=0.0)
+
+
 def _build_version(
     pipeline,
     indicator: Indicator,
@@ -345,10 +348,14 @@ def _build_version(
     # Every fact's body is ``true``: its reordering, evaluation and
     # renaming do not depend on the head, so the first fact's result
     # serves the whole table.
-    fact_body: Optional[Tuple[Term, Optional[SequenceEvaluation]]] = None
-    for clause in clauses:
+    fact_body: Optional[Tuple[Term, Optional[SequenceEvaluation], GoalStats]] = None
+    # Heads keep their source names: dedup renames them only when more
+    # than one version survives, and a clause whose body is unchanged
+    # (every fact) stays the source clause object.
+    matches = model.match_probabilities(indicator, mode)
+    for clause, match in zip(clauses, matches):
         if clause.is_fact and fact_body is not None:
-            body, evaluation = fact_body
+            body, evaluation, stats = fact_body
         else:
             new_goals, evaluation = reorder_clause_goals(
                 pipeline, indicator, clause, mode
@@ -357,17 +364,14 @@ def _build_version(
                 with reorderer.spans.span("specialize"):
                     new_goals = _rename_goals(reorderer, clause, new_goals, mode)
             body = goals_to_body(new_goals)
+            stats = _ILLEGAL if evaluation is None else evaluation.as_goal_stats()
             if clause.is_fact:
-                fact_body = (body, evaluation)
-        head = rename_goal(clause.head, name) if rename else clause.head
-        new_clause = Clause(head, body)
-        match = head_match_probability(clause, mode, reorderer.domains)
+                fact_body = (body, evaluation, stats)
+        new_clause = clause if body is clause.body else Clause(clause.head, body)
         evaluations.append((match, evaluation))
         if evaluation is None:
-            stats = GoalStats(cost=1.0, solutions=0.0, prob=0.0)
             p, c = 0.0, 1.0
         else:
-            stats = evaluation.as_goal_stats()
             p = match * evaluation.p_success
             c = max(match * evaluation.single_cost, 1e-6)
         rankings.append(ClauseRanking(clause=new_clause, stats=stats, p=p, c=c))
@@ -375,7 +379,7 @@ def _build_version(
     if reorderer.options.reorder_clauses and len(rankings) > 1:
         with reorderer.spans.span("clause order"):
             ordered = order_clauses(rankings, reorderer.fixity)
-        if [r.clause for r in ordered] != [r.clause for r in rankings]:
+        if any(r is not s for r, s in zip(ordered, rankings)):
             position = {id(r): i for i, r in enumerate(rankings, start=1)}
             reorderer.report.note(
                 indicator, mode,

@@ -16,7 +16,7 @@ from ...markov.backend import choose_backend
 from ...prolog.database import Clause, Database, body_goals, goals_to_body
 from ...prolog.terms import Atom, Struct, Term, deref, indicator_str
 from ...prolog.writer import clause_to_string
-from ..specialize import build_dispatcher
+from ..specialize import build_dispatcher, rename_goal
 from .types import Indicator, ModeVersion
 
 __all__ = [
@@ -81,13 +81,22 @@ class ModeEnumerationPhase:
 
 
 class VersionDedupPhase:
-    """Merge versions whose clause lists are identical.
+    """Merge versions whose clause lists are identical, then name the
+    survivors.
 
     "In many cases, the reorderer produces only one or two distinct
     versions of a predicate" (§VII). The canonical version is the
-    first mode producing each body; later duplicates are dropped and
-    all references rewritten — including self-references inside this
-    predicate's own (possibly recursive) clauses.
+    first mode producing each clause list; later duplicates are dropped
+    and all references rewritten — including self-references inside
+    this predicate's own (possibly recursive) clauses.
+
+    Versions arrive with their source heads, and a clause the build
+    left alone (every fact) is the source clause object itself, so two
+    versions whose clauses are the same objects in the same order are
+    equal without printing anything. Only versions whose clauses differ
+    as objects are compared as text. Heads are renamed to the version
+    names only when more than one version survives; a single survivor
+    keeps the original name and skips the dispatcher.
     """
 
     @staticmethod
@@ -95,37 +104,44 @@ class VersionDedupPhase:
         """Deduplicate one predicate's specialised ``versions`` in place."""
         reorderer = pipeline.reorderer
         version_names = reorderer._version_names
-        by_shape: Dict[str, ModeVersion] = {}
         rename_map: Dict[str, str] = {}
         kept: List[ModeVersion] = []
-        # Versions share head arguments and often bodies (every fact's
-        # ``true``), so each distinct pair is printed once. The versions
-        # keep the terms alive, so their ids stay unique meanwhile.
-        lines: Dict[Tuple[int, int], str] = {}
+        texts: Dict[int, str] = {}
+        # A clause object often recurs across versions (facts in
+        # another order), so each one is printed once.
+        lines: Dict[int, str] = {}
 
-        def line(clause: Clause) -> str:
-            head = deref(clause.head)
-            key = (id(getattr(head, "args", head)), id(clause.body))
-            text = lines.get(key)
-            if text is None:
-                text = lines[key] = clause_to_string(
-                    Clause(_strip_name(head), clause.body).to_term()
+        def text(version: ModeVersion) -> str:
+            shape = texts.get(id(version))
+            if shape is None:
+                for clause in version.clauses:
+                    if id(clause) not in lines:
+                        lines[id(clause)] = clause_to_string(clause.to_term())
+                shape = texts[id(version)] = "\n".join(
+                    lines[id(clause)] for clause in version.clauses
                 )
-            return text
+            return shape
 
         for version in versions:
-            shape = "\n".join(line(c) for c in version.clauses)
-            canonical = by_shape.get(shape)
+            canonical = next(
+                (
+                    other
+                    for other in kept
+                    if _same_clauses(other.clauses, version.clauses)
+                    or text(other) == text(version)
+                ),
+                None,
+            )
             if canonical is None:
-                by_shape[shape] = version
                 kept.append(version)
-            else:
-                rename_map[version.name] = canonical.name
-                version_names[(indicator, version.mode)] = canonical.name
-                reorderer.report.note(
-                    indicator, version.mode,
-                    f"identical to version {canonical.name}; merged",
-                )
+                continue
+            rename_map[version.name] = canonical.name
+            version_names[(indicator, version.mode)] = canonical.name
+            reorderer.report.note(
+                indicator, version.mode,
+                f"identical to version {canonical.name}; merged",
+            )
+        versions[:] = kept
         if len(kept) == 1:
             # A single distinct version: give it back the original name
             # and skip the dispatcher entirely ("predicates with clauses
@@ -136,19 +152,20 @@ class VersionDedupPhase:
             for (ind, mode) in list(version_names):
                 if ind == indicator:
                     version_names[(ind, mode)] = indicator[0]
-        if not rename_map:
-            return
         for version in kept:
-            version.clauses = [
-                Clause(
-                    _rewrite_one_name(clause.head, rename_map),
-                    goals_to_body(
-                        _rewrite_goal_names(body_goals(clause.body), rename_map)
-                    ),
-                )
-                for clause in version.clauses
-            ]
-        versions[:] = kept
+            renamed = []
+            for clause in version.clauses:
+                head, body = clause.head, clause.body
+                if len(kept) > 1:
+                    head = rename_goal(head, version.name)
+                if rename_map and not clause.is_fact:
+                    body = goals_to_body(
+                        _rewrite_goal_names(body_goals(body), rename_map)
+                    )
+                if head is not clause.head or body is not clause.body:
+                    clause = Clause(head, body)
+                renamed.append(clause)
+            version.clauses = renamed
 
 
 class OutputBuildPhase:
@@ -224,12 +241,11 @@ def select_backends(reorderer) -> None:
             )
 
 
-def _strip_name(head: Term) -> Term:
-    """Replace the head functor with a placeholder for shape comparison."""
-    head = deref(head)
-    if isinstance(head, Struct):
-        return Struct("$head", head.args)
-    return Atom("$head")
+def _same_clauses(first: List[Clause], second: List[Clause]) -> bool:
+    """The same clause objects in the same order?"""
+    return len(first) == len(second) and all(
+        a is b for a, b in zip(first, second)
+    )
 
 
 def _rewrite_one_name(term: Term, mapping: Dict[str, str]) -> Term:

@@ -22,11 +22,12 @@ copy-on-write multi-versioning over whole databases:
 
 Laziness makes the shared-read case safe too: a published database's
 clause index and compiled-skeleton caches fill in lazily under
-concurrent readers, but both caches are keyed by the (now frozen)
-generation counter and rebuild idempotently — a racing duplicate
+concurrent readers, but they rebuild idempotently — a racing duplicate
 computation produces an identical value, and stored clause terms are
 never bound during execution (resolution renames or instantiates from
 skeletons), so sharing one snapshot across engine threads is sound.
+The next snapshot starts with these caches for every predicate an
+update does not edit.
 """
 
 from __future__ import annotations

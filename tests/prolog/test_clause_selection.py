@@ -8,6 +8,7 @@ A mutation drops only its own predicate's table, and no call, however
 many distinct keys it brings, adds state of its own.
 """
 
+import pickle
 import sys
 import threading
 
@@ -160,19 +161,38 @@ class TestInvalidation:
         )
         assert [outcome(database, q) for q in QUERIES] == fresh_outcomes(kept)
 
-    def test_copies_start_empty(self):
+    def test_copies_share_unedited_programs(self):
+        edge = Clause(parse_term("edge(d, e)"), Atom("true"))
+        edited = fresh_outcomes(SOURCE + "edge(d, e).\n")
+        for make in (Database.copy, Database.snapshot):
+            database = self.warm()
+            warm = programs(database)
+            copy = make(database)
+            # A copy starts with every program of the original ...
+            assert kept(copy, warm) == set(warm)
+            # ... and editing it recompiles only its own edited predicate,
+            # leaving the original's programs and answers alone.
+            copy.add_clause(edge)
+            assert kept(copy, warm) == set(warm) - {("edge", 2)}
+            assert [outcome(copy, q) for q in QUERIES] == edited
+            assert kept(database, warm) == set(warm)
+            assert [outcome(database, q) for q in QUERIES] == fresh_outcomes(SOURCE)
+            # Editing the original leaves a copy's answers alone.
+            other = make(database)
+            database.add_clause(edge)
+            assert [outcome(database, q) for q in QUERIES] == edited
+            assert [outcome(other, q) for q in QUERIES] == fresh_outcomes(SOURCE)
+            assert kept(other, warm) == set(warm)
+
+    def test_pickled_database_ships_without_selection_tables(self):
         database = self.warm()
-        warm = programs(database)
-        for copy in (database.copy(), database.snapshot()):
-            # A copy compiles its own programs; editing it leaves the
-            # original's tables and answers alone.
-            assert not kept(copy, warm)
-            copy.add_clause(Clause(parse_term("edge(d, e)"), Atom("true")))
-            assert [outcome(copy, q) for q in QUERIES] == fresh_outcomes(
-                SOURCE + "edge(d, e).\n"
-            )
-        assert kept(database, warm) == set(warm)
-        assert [outcome(database, q) for q in QUERIES] == fresh_outcomes(SOURCE)
+        cold = pickle.dumps(Database.from_source(SOURCE))
+        assert len(pickle.dumps(database)) == len(cold)
+        assert len(pickle.dumps(database.snapshot())) == len(
+            pickle.dumps(Database.from_source(SOURCE).snapshot())
+        )
+        restored = pickle.loads(pickle.dumps(database))
+        assert [outcome(restored, q) for q in QUERIES] == fresh_outcomes(SOURCE)
 
     def test_edit_keeps_other_predicates_programs(self):
         database = self.warm()

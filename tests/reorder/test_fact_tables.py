@@ -1,10 +1,14 @@
-"""Fact-table reordering: exact output, and work linear in the facts.
+"""Fact-table reordering: exact output, and per-mode work that follows
+the distinct head shapes, not the number of facts.
 
 A fact's body is ``true``, so every fact of a version shares one goal
-reordering, one chain evaluation and one renaming, and a ground fact
-has the output mode ``(+,...,+)`` in every input mode. The pipeline
-computes these once instead of once per fact and mode. This module pins
-that the shortcuts change nothing:
+reordering, one chain evaluation and one renaming; a predicate's ground
+facts add ``(+,...,+)`` to its output mode in every input mode; a head's
+match probability depends only on which positions hold a variable, a
+constant or a compound term; and a version whose facts are the source
+clause objects in the same order as another's merges with it without
+being printed. The pipeline computes these once instead of once per
+fact and mode. This module pins that the shortcuts change nothing:
 
 * ``fact_table_digests.json`` holds, for ``PROGRAMS`` seeded programs,
   digests of the cold reorder and the re-reorder (source text,
@@ -12,7 +16,9 @@ that the shortcuts change nothing:
   programs cover ground, variable-headed, structured and duplicate
   facts, arities 1-4, facts mixed with rules, a user-defined ``true/0``
   and tables whose clause order differs by mode.
-* The number of chain evaluations does not grow with the table.
+* The number of chain evaluations, match-probability evaluations,
+  clause-output inferences and printed clauses does not grow with a
+  ground table.
 * Each shortcut equals the generic computation, written out here.
 
 Regenerate the fixture (only when an output change is intended) with
@@ -30,7 +36,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis.mode_inference import ModeInference
+from types import SimpleNamespace
+
+from repro.analysis.domains import DomainAnalysis
+from repro.analysis.mode_inference import ModeInference, join_modes
 from repro.analysis.modes import (
     ModeItem,
     all_input_modes,
@@ -38,13 +47,16 @@ from repro.analysis.modes import (
     bind_head_states,
     inst_to_item,
 )
-from repro.markov import clause_model
-from repro.markov.predicate_model import CostModel
-from repro.prolog import Database
+from repro.markov import clause_model, predicate_model
+from repro.markov.predicate_model import CostModel, HeadShapes, head_match_probability
+from repro.prolog import Database, writer
 from repro.prolog.database import Clause, body_goals
+from repro.prolog.reader.parser import parse_term
 from repro.prolog.terms import Atom, Struct, Var
-from repro.reorder import Reorderer
+from repro.reorder import ModeVersion, ReorderReport, Reorderer
 from repro.reorder.pipeline.context import AnalysisContext
+from repro.reorder.pipeline.phases import VersionDedupPhase
+from repro.reorder.specialize import specialized_name
 
 FIXTURE = Path(__file__).parent / "fact_table_digests.json"
 PROGRAMS = 30
@@ -141,23 +153,60 @@ def _table(facts: int) -> str:
     return rows + "t(X, c0).\nq(X) :- t(X, c1).\n"
 
 
-def test_chain_evaluations_do_not_grow_with_the_table(monkeypatch):
+def _counter(monkeypatch, function):
+    """Count the calls of ``function`` made through any module that
+    imported it by name."""
     calls = []
-    original = clause_model.evaluate_sequence
 
     def counting(*args, **kwargs):
         calls.append(None)
-        return original(*args, **kwargs)
+        return function(*args, **kwargs)
 
     for module in list(sys.modules.values()):
-        if getattr(module, "evaluate_sequence", None) is original:
-            monkeypatch.setattr(module, "evaluate_sequence", counting)
+        if getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
+
+
+def test_chain_evaluations_do_not_grow_with_the_table(monkeypatch):
+    calls = _counter(monkeypatch, clause_model.evaluate_sequence)
     counts = []
     for facts in (10, 40, 80):
         calls.clear()
         Reorderer(Database.from_source(_table(facts))).reorder()
         counts.append(len(calls))
     assert counts[0] > 0
+    assert counts == [counts[0]] * 3
+
+
+def _ground_table(facts: int, rule: bool) -> str:
+    """``facts`` distinct ground rows over ten constants per position
+    (one head shape, every mode's versions merge), with or without a
+    rule calling it."""
+    rows = "".join(f"t(c{i % 10}, c{(i // 10 + i) % 10}).\n" for i in range(facts))
+    return rows + ("q(X) :- t(X, c1).\n" if rule else "")
+
+
+@pytest.mark.parametrize("rule", [False, True], ids=["table", "table+rule"])
+def test_per_mode_work_does_not_grow_with_a_ground_table(monkeypatch, rule):
+    matches = _counter(monkeypatch, predicate_model.head_match_probability)
+    printed = _counter(monkeypatch, writer.clause_to_string)
+    outputs = []
+    original = ModeInference._clause_output
+
+    def clause_output(self, clause, mode):
+        outputs.append(None)
+        return original(self, clause, mode)
+
+    monkeypatch.setattr(ModeInference, "_clause_output", clause_output)
+    counts = []
+    for facts in (10, 40, 80):
+        for calls in (matches, printed, outputs):
+            calls.clear()
+        program = Reorderer(Database.from_source(_ground_table(facts, rule))).reorder()
+        assert program.version_name(("t", 2), (ModeItem.PLUS, ModeItem.MINUS)) == "t"
+        counts.append((len(matches), len(outputs), len(printed)))
+    assert counts[0][0] > 0
     assert counts == [counts[0]] * 3
 
 
@@ -215,26 +264,145 @@ _terms = st.recursive(
 
 
 @st.composite
-def _heads_and_modes(draw):
-    args = draw(st.lists(_terms, max_size=4))
-    head = Struct("h", tuple(args)) if args else Atom("h")
+def _heads_and_mode(draw):
+    """One to three heads of one predicate, and an input mode."""
+    arity = draw(st.integers(0, 4))
+    heads = [
+        Struct("h", tuple(draw(st.lists(_terms, min_size=arity, max_size=arity))))
+        if arity
+        else Atom("h")
+        for _ in range(draw(st.integers(1, 3)))
+    ]
     mode = tuple(draw(st.lists(st.sampled_from(list(ModeItem)),
-                               min_size=len(args), max_size=len(args))))
-    return head, mode
+                               min_size=arity, max_size=arity)))
+    return heads, mode
 
 
 @settings(max_examples=200, deadline=None)
-@given(_heads_and_modes())
-def test_fact_clause_output_equals_generic_execution(head_and_mode):
-    head, mode = head_and_mode
-    inference = ModeInference(Database.from_source(""))
-    clause = Clause(head, Atom("true"))
-    states = {}
-    bind_head_states(head, mode, states)
-    assert inference._exec(clause.body, states)
-    args = head.args if isinstance(head, Struct) else ()
-    generic = tuple(inst_to_item(argument_inst(arg, states)) for arg in args)
-    assert inference._clause_output(clause, mode) == generic
+@given(_heads_and_mode())
+def test_fact_output_mode_equals_generic_execution(heads_and_mode):
+    # Ground facts answer from one per-predicate verdict, the others
+    # through the abstract interpreter; the join over the facts must
+    # equal executing each fact's ``true`` body from its bound head.
+    heads, mode = heads_and_mode
+    database = Database()
+    generic = None
+    for head in heads:
+        clause = Clause(head, Atom("true"))
+        database.add_clause(clause)
+        inference = ModeInference(Database())
+        states = {}
+        bind_head_states(head, mode, states)
+        assert inference._exec(clause.body, states)
+        args = head.args if isinstance(head, Struct) else ()
+        output = tuple(inst_to_item(argument_inst(arg, states)) for arg in args)
+        generic = output if generic is None else join_modes(generic, output)
+    inference = ModeInference(database)
+    assert inference.output_mode(("h", len(mode)), mode) == generic
+
+
+_constants = st.sampled_from([Atom("a"), Atom("b"), 0, 1, 1.0, 7])
+
+
+@st.composite
+def _predicate(draw):
+    """The heads of one predicate: atoms, ints, ``1`` vs ``1.0``,
+    variables (some repeated within a head), compounds, or arity 0."""
+    arity = draw(st.integers(0, 3))
+    heads = []
+    for _ in range(draw(st.integers(1, 8))):
+        shared = [Var(), Var()]
+        leaves = _constants | st.sampled_from(shared) | st.builds(Var)
+        args = draw(st.lists(
+            leaves | st.builds(lambda a: Struct("f", (a,)), leaves),
+            min_size=arity, max_size=arity,
+        ))
+        heads.append(Struct("h", tuple(args)) if arity else Atom("h"))
+    return heads
+
+
+@settings(max_examples=200, deadline=None)
+@given(_predicate())
+def test_head_shape_table_equals_head_match_probability(heads):
+    database = Database()
+    for head in heads:
+        database.add_clause(Clause(head, Atom("true")))
+    indicator = database.predicates()[0]
+    clauses = database.clauses(indicator)
+    domains = DomainAnalysis(database)
+    table = HeadShapes(clauses)
+    model = CostModel(database, domains=domains)
+    for mode in all_input_modes(indicator[1]):
+        expected = [head_match_probability(c, mode, domains).hex() for c in clauses]
+        assert [p.hex() for p in table.match_probabilities(mode, domains)] == expected
+        assert [p.hex() for p in model.match_probabilities(indicator, mode)] == expected
+
+
+#: Clause texts a version may list; several print alike only by object.
+_POOL = ("t(a, b)", "t(X, c)", "t(b, a)", "t(X, Y) :- u(X), u(Y)")
+_MODES = list(all_input_modes(2))
+
+
+def _clause(text: str) -> Clause:
+    term = parse_term(text)
+    if isinstance(term, Struct) and term.name == ":-":
+        return Clause(term.args[0], term.args[1])
+    return Clause(term, Atom("true"))
+
+
+@st.composite
+def _versions(draw):
+    """Per mode, a clause list drawn from ``_POOL``: each clause either
+    the pool's shared object or a fresh parse of the same text."""
+    shared = [_clause(text) for text in _POOL]
+    versions = []
+    for mode in _MODES[: draw(st.integers(1, len(_MODES)))]:
+        picks = draw(st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=3))
+        fresh = draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+        versions.append((mode, [
+            _clause(_POOL[i]) if new else shared[i] for i, new in zip(picks, fresh)
+        ]))
+    return versions
+
+
+def _text(clauses) -> str:
+    return "\n".join(writer.clause_to_string(c.to_term()) for c in clauses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_versions())
+def test_dedup_by_identity_equals_the_text_only_rule(drawn):
+    indicator = ("t", 2)
+    reorderer = SimpleNamespace(_version_names={}, report=ReorderReport())
+    versions = []
+    for mode, clauses in drawn:
+        name = specialized_name("t", mode)
+        reorderer._version_names[(indicator, mode)] = name
+        versions.append(ModeVersion(indicator, mode, name, list(clauses), None, None))
+    # The text-only rule: the first version printing alike is canonical.
+    canonical, notes = {}, []
+    for version in versions:
+        first = canonical.setdefault(_text(version.clauses), version)
+        if first is not version:
+            notes.append(((indicator, version.mode),
+                          [f"identical to version {first.name}; merged"]))
+    survivors = list(canonical.values())
+    names = {
+        mode: "t" if len(survivors) == 1 else canonical[_text(clauses)].name
+        for mode, clauses in drawn
+    }
+    expected = []
+    for version in survivors:
+        name = "t" if len(survivors) == 1 else version.name
+        renamed = [Clause(Struct(name, c.head.args), c.body) for c in version.clauses]
+        expected.append((version.mode, name, _text(renamed)))
+
+    VersionDedupPhase.run(SimpleNamespace(reorderer=reorderer), indicator, versions)
+    assert list(reorderer.report.decisions.items()) == notes
+    assert [(v.mode, v.name, _text(v.clauses)) for v in versions] == expected
+    assert reorderer._version_names == {
+        (indicator, mode): name for mode, name in names.items()
+    }
 
 
 if __name__ == "__main__":
