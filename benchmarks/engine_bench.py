@@ -36,11 +36,8 @@ Workloads (all run on the default engine, the bytecode VM):
 ``unindexed_join``
     A two-literal join over unindexed facts — clause tries plus real
     backtracking. The engine's bulk scan plans short-circuit the
-    fingerprint rejects while charging identical counters.
-``unindexed_join_legacy``
-    The same join with scan plans disabled: the pre-plan per-clause
-    loop. Its counters must be byte-identical to ``unindexed_join``
-    (the plan is a pure speedup), which ``--check`` enforces in-run.
+    fingerprint rejects while charging identical counters (the tier-1
+    tests hold them to the per-clause loop).
 ``indexed_join``
     The same join with multi-argument indexing on — backtracking all
     but disappears (``--check`` demands a >=10x drop in-run).
@@ -156,21 +153,16 @@ def workload_builtin_heavy():
     )
 
 
-def _join_engine(indexing, scan_plans=True):
+def _join_engine(indexing):
     source = "\n".join(f"edge({i}, {(i + 1) % JOIN_FACTS})." for i in range(JOIN_FACTS))
     source += "\njoin(A, C) :- edge(A, B), edge(B, C).\n"
     engine = Engine.from_source(source)
     engine.database.indexing = indexing
-    engine.database.scan_plans = scan_plans
     return engine
 
 
 def workload_unindexed_join():
     return _join_engine(False), parse_term("join(1, C)"), 1
-
-
-def workload_unindexed_join_legacy():
-    return _join_engine(False, scan_plans=False), parse_term("join(1, C)"), 1
 
 
 def workload_indexed_join():
@@ -221,7 +213,6 @@ WORKLOADS = {
     "arith_chain": workload_arith_chain,
     "builtin_heavy": workload_builtin_heavy,
     "unindexed_join": workload_unindexed_join,
-    "unindexed_join_legacy": workload_unindexed_join_legacy,
     "indexed_join": workload_indexed_join,
     "bound_second_arg_lookup": workload_bound_second_arg_lookup,
     "datalog_closure": workload_datalog_closure,
@@ -333,10 +324,6 @@ def relative_gates(results):
     machine that wrote the baseline), these ratios pit two workloads of
     the *same* run against each other, so they hold anywhere:
 
-    - scan plans must make ``unindexed_join`` >=5x faster than the
-      per-clause-loop ``unindexed_join_legacy`` while charging
-      byte-identical counters (the optimization is invisible to the
-      cost model);
     - multi-argument indexing must cut ``indexed_join`` backtracks to
       <=1/10 of the unindexed scan's;
     - bottom-up ``datalog_closure`` must beat the tabled top-down
@@ -349,20 +336,6 @@ def relative_gates(results):
     workloads = results["workloads"]
 
     join = workloads.get("unindexed_join")
-    legacy = workloads.get("unindexed_join_legacy")
-    if join and legacy:
-        if join["ops_per_sec"] < 5.0 * legacy["ops_per_sec"]:
-            failures.append(
-                f"unindexed_join: {join['ops_per_sec']} ops/s is not >=5x "
-                f"the legacy per-clause loop ({legacy['ops_per_sec']} ops/s)"
-            )
-        if join["metrics"] != legacy["metrics"]:
-            failures.append(
-                f"unindexed_join: counters {join['metrics']} diverge from "
-                f"legacy loop {legacy['metrics']} (scan plans must be "
-                "counter-neutral)"
-            )
-
     indexed = workloads.get("indexed_join")
     if indexed and join:
         if indexed["metrics"]["backtracks"] * 10 > join["metrics"]["backtracks"]:

@@ -13,7 +13,7 @@ import pytest
 from repro.experiments.harness import count_calls
 from repro.prolog import Database, Engine
 from repro.programs import family_tree
-from repro.reorder.system import ReorderOptions, Reorderer
+from repro.reorder.system import Reorderer
 
 QUERY = "cousins(V0, V1)"
 
@@ -31,11 +31,8 @@ def measurements():
     ):
         database = Database(indexing=indexing, index_argument=index_argument)
         database.consult(family_tree.source())
-        program = Reorderer(
-            database, ReorderOptions(indexing=indexing)
-        ).reorder()
-        # Match the measurement engine's indexing discipline.
-        program.database.index_argument = index_argument
+        # The output database inherits the source's indexing discipline.
+        program = Reorderer(database).reorder()
         version = program.version_name(
             ("cousins", 2), parse_mode_string("--")
         )

@@ -203,13 +203,17 @@ class EmpiricalCalibrator:
         """Measured stats for a (predicate, mode); None when any sample
         errors or exceeds the budget (the mode is unsafe to calibrate).
 
-        ``budget`` (optional) adds a wall-clock bound shared by all of
-        the pair's sample queries; expiry counts as a measurement
-        failure like any other diverging sample.
+        Each sample query runs under its own call cap
+        (``options.call_budget``). ``budget`` (optional) adds a
+        wall-clock bound shared by all of the pair's sample queries:
+        each sample gets what is left of it. Expiry counts as a
+        measurement failure like any other diverging sample.
         """
         queries = self.sample_queries(indicator, mode)
         if not queries:
             return None
+        if budget is not None:
+            budget.start()
         total_calls = 0
         total_solutions = 0
         successes = 0
@@ -217,9 +221,12 @@ class EmpiricalCalibrator:
             engine = Engine(
                 self.database,
                 max_depth=self.options.max_depth,
-                call_budget=self.options.call_budget,
                 adjust_recursion_limit=False,
-                budget=budget,
+                budget=Budget(
+                    deadline=None if budget is None else budget.remaining(),
+                    calls=self.options.call_budget,
+                    token=None if budget is None else budget.token,
+                ),
             )
             try:
                 solutions, metrics = engine.run(query)

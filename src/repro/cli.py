@@ -79,9 +79,9 @@ exit codes:
 """
 
 
-def _load(path: str, indexing: bool = True) -> Database:
+def _load(path: str) -> Database:
     with open(path) as handle:
-        database = Database.from_source(handle.read(), indexing=indexing)
+        database = Database.from_source(handle.read())
     for warning in database.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return database

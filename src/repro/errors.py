@@ -119,7 +119,7 @@ class BudgetExceededError(PrologError):
 
 
 class CallBudgetExceeded(BudgetExceededError):
-    """The engine's call budget (max predicate calls per query) ran out."""
+    """A :class:`repro.robustness.Budget`'s call cap (``calls=N``) ran out."""
 
 
 class DeadlineExceeded(BudgetExceededError):

@@ -19,6 +19,7 @@ from ..analysis.modes import Mode, ModeItem, parse_mode_string
 from ..prolog.database import Database
 from ..prolog.engine import Engine
 from ..reorder.system import ReorderedProgram
+from ..robustness.budget import Budget
 
 __all__ = [
     "Row",
@@ -168,7 +169,7 @@ def best_order_by_enumeration(
         return None
 
     def sweep(database: Database):
-        engine = Engine(database, call_budget=2_000_000)
+        engine = Engine(database, budget=Budget(calls=2_000_000))
         total = 0
         keys = []
         for query in queries:

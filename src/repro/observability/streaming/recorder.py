@@ -40,6 +40,7 @@ per lookup would blow the continuous-overhead budget that
 
 from __future__ import annotations
 
+import zlib
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -54,6 +55,9 @@ __all__ = [
 ]
 
 Indicator = Tuple[str, int]
+
+#: Samples each per-predicate reservoir keeps.
+RESERVOIR_SIZE = 16
 
 
 class BoxSample:
@@ -151,8 +155,10 @@ class StreamingRecorder:
     ``sample_every`` keeps 1-in-N boxes once a predicate is past its
     ``rare_threshold`` first calls (which are all kept). Retained
     samples go to a ``capacity``-bounded ring plus per-predicate
-    reservoirs of ``reservoir_size`` (seeded, deterministic), and every
-    sampled box folds into :attr:`aggregates`.
+    reservoirs of :data:`RESERVOIR_SIZE`, each seeded from a digest of
+    its predicate's ``name/arity`` text, so the kept samples are the
+    same in every process; every sampled box folds into
+    :attr:`aggregates`.
 
     The engine drives sampling inline: a predicate in :attr:`hot` is
     sampled when ``metrics.calls % sample_every == 0``; anything else
@@ -165,14 +171,10 @@ class StreamingRecorder:
         capacity: int = 8_192,
         sample_every: int = 64,
         rare_threshold: int = 64,
-        reservoir_size: int = 16,
-        seed: int = 0,
     ):
         self.capacity = capacity
         self.sample_every = max(1, sample_every)
         self.rare_threshold = max(0, rare_threshold)
-        self.reservoir_size = max(0, reservoir_size)
-        self.seed = seed
         #: Recent sampled boxes, oldest first (bounded).
         self.ring: RingBuffer = RingBuffer(capacity)
         #: Uniform per-predicate sample history (bounded per predicate).
@@ -302,15 +304,15 @@ class StreamingRecorder:
             box.solutions,
         )
         self.ring.append(sample)
-        if self.reservoir_size:
-            reservoir = self.reservoirs.get(box.indicator)
-            if reservoir is None:
-                reservoir = ReservoirSampler(
-                    self.reservoir_size,
-                    seed=self.seed ^ hash(box.indicator) & 0xFFFF_FFFF,
-                )
-                self.reservoirs[box.indicator] = reservoir
-            reservoir.offer(sample)
+        reservoir = self.reservoirs.get(box.indicator)
+        if reservoir is None:
+            # Not hash(): string hashing is salted per process.
+            name, arity = box.indicator
+            reservoir = ReservoirSampler(
+                RESERVOIR_SIZE, seed=zlib.crc32(f"{name}/{arity}".encode())
+            )
+            self.reservoirs[box.indicator] = reservoir
+        reservoir.offer(sample)
         self._aggregates.record_box(
             box.indicator,
             box.mode,

@@ -10,7 +10,7 @@ This package is the execution substrate the paper's experiments run on
 ['bob']
 """
 
-from .compile import CompiledClause, compile_clause, flatten_conjunction
+from .compile import CompiledClause, compile_clause
 from .database import (
     Clause,
     Database,
@@ -68,7 +68,6 @@ __all__ = [
     "disassemble_database",
     "disassemble_predicate",
     "first_arg_key",
-    "flatten_conjunction",
     "functor_indicator",
     "goals_to_body",
     "indicator_str",

@@ -2,8 +2,7 @@
 predicates (§IV-B).
 
 Output goes to the engine's capture buffer (``engine.output``) so tests
-and the experiment harness can assert on it; ``engine.echo`` additionally
-mirrors to stdout for interactive use. ``read/1`` pops terms from
+and the experiment harness can assert on it. ``read/1`` pops terms from
 ``engine.input_terms`` (a deque the caller fills), simulating a user at
 the terminal; reading from an empty queue returns ``end_of_file``.
 """
@@ -17,37 +16,31 @@ from . import builtin, unify_or_undo
 from .arith import evaluate
 
 
-def _emit(engine, text: str) -> None:
-    engine.output.append(text)
-    if engine.echo:
-        print(text, end="")
-
-
 @builtin("write", 1, side_effect=True, det=True)
 def _write(engine, args) -> bool:
     """``write(Term)`` — print Term in operator notation."""
-    _emit(engine, term_to_string(args[0]))
+    engine.output.append(term_to_string(args[0]))
     return True
 
 
 @builtin("print", 1, side_effect=True, det=True)
 def _print(engine, args) -> bool:
     """``print(Term)`` — identical to ``write/1`` here (no portray hook)."""
-    _emit(engine, term_to_string(args[0]))
+    engine.output.append(term_to_string(args[0]))
     return True
 
 
 @builtin("writeln", 1, side_effect=True, det=True)
 def _writeln(engine, args) -> bool:
     """``writeln(Term)`` — write then newline."""
-    _emit(engine, term_to_string(args[0]) + "\n")
+    engine.output.append(term_to_string(args[0]) + "\n")
     return True
 
 
 @builtin("nl", 0, side_effect=True, det=True)
 def _nl(engine, args) -> bool:
     """``nl`` — write a newline."""
-    _emit(engine, "\n")
+    engine.output.append("\n")
     return True
 
 
@@ -57,7 +50,7 @@ def _tab(engine, args) -> bool:
     count = evaluate(args[0])
     if not isinstance(count, int) or count < 0:
         raise TypeErrorProlog("non-negative integer", count)
-    _emit(engine, " " * count)
+    engine.output.append(" " * count)
     return True
 
 
@@ -67,7 +60,7 @@ def _put(engine, args) -> bool:
     code = evaluate(args[0])
     if not isinstance(code, int):
         raise TypeErrorProlog("character code", code)
-    _emit(engine, chr(code))
+    engine.output.append(chr(code))
     return True
 
 

@@ -16,6 +16,9 @@ from ..terms import Var, deref, is_list_cell, make_list
 from ..unify import unify
 from . import builtin
 
+#: Bound for length/2 open enumeration.
+MAX_LIST_LENGTH = 10_000
+
 #: Standard list predicates in Prolog, ready to consult.
 LIST_LIBRARY = """
 append([], Xs, Xs).
@@ -93,9 +96,9 @@ def _length(engine, args, depth, frame) -> Iterator[None]:
             yield
         engine.trail.undo_to(mark)
         total += 1
-        if total - count > engine.max_list_length:
+        if total - count > MAX_LIST_LENGTH:
             raise InstantiationError(
-                "length/2: unbounded enumeration exceeded engine.max_list_length"
+                f"length/2: unbounded enumeration exceeded {MAX_LIST_LENGTH}"
             )
 
 

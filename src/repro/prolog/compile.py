@@ -111,13 +111,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from .database import body_goals, first_arg_key
 from .terms import Atom, Struct, Term, Var, deref, term_is_ground
 from .unify import unify
 
 __all__ = [
     "CompiledClause",
     "compile_clause",
-    "flatten_conjunction",
     "VM_CALL",
     "VM_DET",
     "VM_BUILTIN",
@@ -171,31 +171,6 @@ _new_struct = Struct.__new__
 #: A build program: tuple of ``(op, a, b)`` instructions, or ``None``
 #: when the term is ground and ``const`` is shared instead.
 _Code = Optional[Tuple[Tuple[int, object, int], ...]]
-
-
-def flatten_conjunction(body: Term) -> List[Term]:
-    """Flatten a (possibly nested) ``','``/2 chain into its goal list.
-
-    Mirrors :func:`repro.prolog.database.body_goals` (duplicated here to
-    keep this module importable by the database without a cycle): only
-    conjunctions are flattened; disjunctions, if-then-elses, and
-    variable goals stay single, and are dereferenced exactly as the
-    recursive solver would have dereferenced them on entry.
-    """
-    goals: List[Term] = []
-    stack = [body]
-    while stack:
-        current = deref(stack.pop())
-        if (
-            isinstance(current, Struct)
-            and current.name == ","
-            and len(current.args) == 2
-        ):
-            stack.append(current.args[1])
-            stack.append(current.args[0])
-        else:
-            goals.append(current)
-    return goals
 
 
 def _compile_term(
@@ -315,7 +290,7 @@ class CompiledClause:
                         head_args.append((_ARG_BUILD, code))
         self.head_args = tuple(head_args)
         goals: List[Tuple[_Code, Optional[Term]]] = []
-        for goal in flatten_conjunction(body):
+        for goal in body_goals(body):
             if isinstance(goal, Atom) and goal.name == "true":
                 continue
             goals.append(_compile_term(goal, slots, names))
@@ -324,10 +299,6 @@ class CompiledClause:
         #: The body's VM bytecode once :meth:`vm_code` has lowered it.
         self.vm_ops = None
         if isinstance(head, Struct):
-            # Late import: database imports this module's compiler, so
-            # the fingerprint helper is fetched lazily to avoid a cycle.
-            from .database import first_arg_key
-
             self.head_keys = tuple(first_arg_key(arg) for arg in head.args)
         else:
             self.head_keys = ()

@@ -314,16 +314,17 @@ class Database:
     predicate, built on first use: the clause list, the compiled
     program and a bucket index per discriminating argument position.
     A mutation drops only its own predicate's entry; the entry does not
-    depend on ``indexing``, ``index_argument`` or ``scan_plans``, which
-    :meth:`select` reads on every call. :meth:`matching_for` is the
+    depend on ``indexing`` or ``index_argument``, which :meth:`select`
+    reads on every call. :meth:`matching_for` is the
     interpreter's selection, with its own lazily built buckets, and the
     compiled engine's while an event bus is attached to :attr:`events`
     (so the bus sees every index probe).
 
-    ``scan_plans=True`` additionally lets the compiled engine bulk-skip
-    fingerprint-rejected clauses on unindexed scans (``indexing=False``)
-    without a per-clause Python loop; the skipped clauses' counters are
-    still charged exactly as if each had been attempted (see
+    On an unindexed scan (``indexing=False``) of a call whose first
+    argument is bound, the compiled engine bulk-skips
+    fingerprint-rejected clauses through a scan plan instead of a
+    per-clause Python loop; the skipped clauses' counters are still
+    charged exactly as if each had been attempted (see
     :meth:`_SelectionEntry.plan`).
     """
 
@@ -331,14 +332,9 @@ class Database:
         self,
         indexing: bool = True,
         index_argument: Union[int, str] = "multi",
-        scan_plans: bool = True,
     ):
         self.indexing = indexing
         self.index_argument = index_argument
-        #: Bulk fast-reject plans enabled (an ablation knob, like
-        #: :attr:`indexing`: ``benchmarks/engine_bench.py`` measures the
-        #: unindexed-scan speedup by toggling it).
-        self.scan_plans = scan_plans
         self._predicates: Dict[Indicator, List[Clause]] = {}
         #: :meth:`matching_for`'s buckets: per predicate, per argument
         #: position, key -> clauses; positions are indexed lazily.
@@ -383,8 +379,7 @@ class Database:
     ) -> "Database":
         """Build a database from Prolog source text.
 
-        ``kwargs`` forward to the constructor (``index_argument``,
-        ``scan_plans``).
+        ``kwargs`` forward to the constructor (``index_argument``).
         """
         database = cls(indexing=indexing, **kwargs)
         database.consult(source)
@@ -687,7 +682,7 @@ class Database:
                 if key is not None:
                     keys[position] = key
         plan = None
-        if not self.indexing and self.scan_plans and 0 in keys:
+        if not self.indexing and 0 in keys:
             plan = entry.plan(keys[0])
         return clauses, entry.program, keys, tuple(keys), plan
 
@@ -723,7 +718,6 @@ class Database:
         other = Database(
             indexing=self.indexing,
             index_argument=self.index_argument,
-            scan_plans=self.scan_plans,
         )
         for indicator, clauses in self._predicates.items():
             other._predicates[indicator] = list(clauses)

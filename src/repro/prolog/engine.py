@@ -23,7 +23,8 @@ goals to its left in the body and (b) stops the clause loop from trying
 further clauses. ``;``, ``->`` and ``\\+`` introduce the standard local
 barriers.
 
-Safety bounds (``max_depth``, ``call_budget``) turn the infinite
+Safety bounds (``max_depth``, and a
+:class:`~repro.robustness.Budget`'s call cap) turn the infinite
 recursions that illegal modes cause (§V-B) into catchable exceptions,
 which both the tests and the legality experiments rely on.
 """
@@ -37,7 +38,6 @@ from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..observability.events import EventBus
 from ..errors import (
-    CallBudgetExceeded,
     DepthLimitExceeded,
     ExistenceError,
     InstantiationError,
@@ -46,8 +46,7 @@ from ..errors import (
 from ..robustness import faults
 from ..robustness.budget import Budget
 from .builtins import lookup, solve_det
-from .compile import flatten_conjunction
-from .database import Database
+from .database import Database, body_goals
 from .metrics import Metrics
 from .tabling import TableStore, solve_tabled
 from .reader.parser import parse_term
@@ -178,9 +177,7 @@ class Engine:
         self,
         database: Database,
         max_depth: int = 1_000,
-        call_budget: Optional[int] = None,
         occurs_check: bool = False,
-        echo: bool = False,
         table_all: bool = False,
         adjust_recursion_limit: bool = True,
         compiled: bool = True,
@@ -191,7 +188,6 @@ class Engine:
         self.trail = Trail()
         self.metrics = Metrics()
         self.max_depth = max_depth
-        self.call_budget = call_budget
         #: Default :class:`~repro.robustness.Budget` applied to every
         #: query this engine runs (a per-call budget passed to
         #: :meth:`solve`/:meth:`ask` takes precedence).
@@ -203,8 +199,6 @@ class Engine:
         self.occurs_check = occurs_check
         #: Captured output of write/nl/etc.
         self.output: List[str] = []
-        #: Mirror output to stdout as well.
-        self.echo = echo
         #: Input queue for read/1 and get0/1.
         self.input_terms: Deque[Term] = deque()
         #: Optional event bus for the low-rate structural events (index,
@@ -217,8 +211,6 @@ class Engine:
         #: or a :class:`~repro.prolog.trace.CollectingTracer`. None
         #: keeps the uninstrumented fast path.
         self.recorder = None
-        #: Bound for length/2 open enumeration.
-        self.max_list_length = 10_000
         #: Table every user predicate, not just ``:- table`` ones.
         self.table_all = table_all
         #: Variant tables memoized by this engine (see tabling docs).
@@ -295,9 +287,7 @@ class Engine:
             if name == "," and arity == 2:
                 # Flatten the whole chain once and run the flat loop
                 # instead of recursing one generator per ',' node.
-                yield from self._solve_body(
-                    flatten_conjunction(goal), depth, frame
-                )
+                yield from self._solve_body(body_goals(goal), depth, frame)
                 return
             if name == ";" and arity == 2:
                 yield from self._solve_disjunction(goal.args[0], goal.args[1], depth, frame)
@@ -404,10 +394,6 @@ class Engine:
         metrics.calls += 1
         by_predicate = metrics.calls_by_predicate
         by_predicate[indicator] = by_predicate.get(indicator, 0) + 1
-        if self.call_budget is not None and metrics.calls > self.call_budget:
-            raise CallBudgetExceeded(
-                f"exceeded {self.call_budget} calls (at {indicator[0]}/{indicator[1]})"
-            )
         if self._active_budget is not None:
             self._active_budget.charge_call()
         if faults.ACTIVE is not None:

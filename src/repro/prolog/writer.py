@@ -19,6 +19,7 @@ Two styles are offered:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from .reader.lexer import SOLO_ATOMS, SYMBOL_CHARS
@@ -65,6 +66,17 @@ def _quote_atom(name: str) -> str:
     return f"'{escaped}'"
 
 
+@lru_cache(maxsize=4096)
+def _atom_text(name: str) -> str:
+    """The atom's source spelling, quoted when necessary.
+
+    A pure function of the name, memoized because a program repeats its
+    atoms at every occurrence; the cache is bounded because the server
+    renders atoms that arrive over the network.
+    """
+    return _quote_atom(name) if _atom_needs_quotes(name) else name
+
+
 #: The table a writer reads when given none. Writers never add to it:
 #: ``op/3`` directives extend a database's own table instead.
 _DEFAULT_OPERATORS = standard_operators()
@@ -94,10 +106,6 @@ class TermWriter:
         self._used_names.add(candidate)
         return candidate
 
-    def atom_text(self, name: str) -> str:
-        """The atom's source spelling, quoted when necessary."""
-        return _quote_atom(name) if _atom_needs_quotes(name) else name
-
     # -- term rendering -------------------------------------------------
 
     def write(self, term: Term, max_priority: int = MAX_PRIORITY) -> str:
@@ -114,7 +122,7 @@ class TermWriter:
                 return f"({text})" if max_priority < 200 else text
             return repr(term) if isinstance(term, float) else str(term)
         if isinstance(term, Atom):
-            return self.atom_text(term.name)
+            return _atom_text(term.name)
         assert isinstance(term, Struct)
         if is_list_cell(term):
             return self._write_list(term)
@@ -126,7 +134,7 @@ class TermWriter:
         args = ", ".join(self.write(a, 999) for a in term.args)
         # '!' and ';' are solo tokens: bare, they never read as a functor.
         name = term.name
-        functor = _quote_atom(name) if name in SOLO_ATOMS else self.atom_text(name)
+        functor = _quote_atom(name) if name in SOLO_ATOMS else _atom_text(name)
         return f"{functor}({args})"
 
     def _write_list(self, term: Struct) -> str:
@@ -148,7 +156,7 @@ class TermWriter:
         itself (``(-) - a`` is not ``- - a``)."""
         term = deref(term)
         if isinstance(term, Atom) and self.operators.is_operator(term.name):
-            return "(" + self.atom_text(term.name) + ")"
+            return "(" + _atom_text(term.name) + ")"
         return self.write(term, max_priority)
 
     def _write_operator(self, term: Struct, max_priority: int) -> Optional[str]:
@@ -161,7 +169,7 @@ class TermWriter:
             if term.name == ",":
                 text = f"{left}, {right}"
             else:
-                text = f"{left} {self.atom_text(term.name)} {right}"
+                text = f"{left} {_atom_text(term.name)} {right}"
             if definition.priority > max_priority:
                 return f"({text})"
             return text
@@ -176,7 +184,7 @@ class TermWriter:
                 # '- 1' reads as the integer -1, and '- 2 ** X' as
                 # (-2) ** X: a '-' before a number token is a sign.
                 return None
-            text = f"{self.atom_text(term.name)} {operand}"
+            text = f"{_atom_text(term.name)} {operand}"
             if definition.priority > max_priority:
                 return f"({text})"
             return text

@@ -27,7 +27,7 @@ from ..clause_order import ClauseRanking, order_clauses
 from ..goal_search import find_best_order
 from ..restrictions import order_constraints, partition_body
 from ..specialize import rename_goal, specialized_name
-from .types import Indicator, ModeVersion
+from .types import MAX_VERSIONS, Indicator, ModeVersion
 
 __all__ = [
     "VersionBuildPhase",
@@ -296,7 +296,7 @@ class VersionBuildPhase:
         should_specialize = (
             options.specialize
             and indicator[1] > 0
-            and 0 < len(modes) <= options.max_versions
+            and 0 < len(modes) <= MAX_VERSIONS
         )
         if not modes:
             # Keep the predicate verbatim (still reachable via output build).

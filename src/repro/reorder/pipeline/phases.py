@@ -177,7 +177,9 @@ class OutputBuildPhase:
     def run(pipeline, versions: Dict[Tuple[Indicator, Mode], ModeVersion]) -> Database:
         reorderer = pipeline.reorderer
         source = reorderer.database
-        output = Database(indexing=reorderer.options.indexing)
+        output = Database(
+            indexing=source.indexing, index_argument=source.index_argument
+        )
         output.operators = source.operators
         dispatched: Set[Indicator] = set()
         for (indicator, _mode), version in versions.items():

@@ -23,9 +23,19 @@ from ...prolog.terms import indicator_str
 from ...prolog.writer import op_directives, program_to_string
 from ..goal_search import DEFAULT_EXHAUSTIVE_LIMIT
 
-__all__ = ["ReorderOptions", "ModeVersion", "ReorderReport", "ReorderedProgram"]
+__all__ = [
+    "MAX_VERSIONS",
+    "ReorderOptions",
+    "ModeVersion",
+    "ReorderReport",
+    "ReorderedProgram",
+]
 
 Indicator = Tuple[str, int]
+
+#: Predicates with more legal modes than this are not specialised
+#: (they are reordered in place, as with ``specialize=False``).
+MAX_VERSIONS = 16
 
 
 @dataclass
@@ -43,16 +53,12 @@ class ReorderOptions:
     #: Blocks up to this size are permuted exhaustively; larger ones use
     #: the A* best-first search (§VI-A-3).
     exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-    #: Predicates with more legal modes than this are not specialised
-    #: (they are reordered in place like specialize=False).
-    max_versions: int = 16
-    #: First-argument indexing for the emitted database.
-    indexing: bool = True
     #: §V-D run-time tests: when a predicate is reordered *in place*
-    #: (specialize=False, or too many modes), clauses whose best order
-    #: under full instantiation differs from the generic order get a
-    #: ``nonvar``-guarded if-then-else — "the tests are the if, the
-    #: reordered version is the then, and the original is the else".
+    #: (specialize=False, or more than :data:`MAX_VERSIONS` modes),
+    #: clauses whose best order under full instantiation differs from
+    #: the generic order get a ``nonvar``-guarded if-then-else — "the
+    #: tests are the if, the reordered version is the then, and the
+    #: original is the else".
     runtime_tests: bool = False
     #: §VIII unfolding: sweeps of Tamaki–Sato goal unfolding applied to
     #: the program before analysis, to "increase the possibilities for
@@ -76,16 +82,14 @@ class ReorderOptions:
     def cache_key(self) -> Tuple:
         """The option fields a cached per-predicate build depends on.
 
-        ``indexing`` only affects the (always rebuilt) output database
-        and ``unfold_rounds`` is resolved before analysis, so neither
-        invalidates cached builds.
+        ``unfold_rounds`` is resolved before analysis, so it does not
+        invalidate cached builds.
         """
         return (
             self.reorder_goals,
             self.reorder_clauses,
             self.specialize,
             self.exhaustive_limit,
-            self.max_versions,
             self.runtime_tests,
             self.table_all,
             self.phase_timeout,

@@ -142,7 +142,9 @@ def unfold_program(
         recursive = recursive_predicates(graph)
         fixity = FixityAnalysis(current, graph)
         changed = False
-        next_database = Database(indexing=current.indexing)
+        next_database = Database(
+            indexing=current.indexing, index_argument=current.index_argument
+        )
         next_database.directives = list(current.directives)
         next_database.tabled = set(current.tabled)
         next_database.warnings = list(current.warnings)

@@ -25,6 +25,7 @@ from ..analysis.modes import all_input_modes
 from ..errors import PrologError
 from ..prolog.database import Database
 from ..prolog.engine import Engine
+from ..robustness.budget import Budget
 from .system import ReorderedProgram
 
 __all__ = ["QueryCheck", "VerificationReport", "verify_reordering"]
@@ -123,8 +124,8 @@ def _check_query(
     query: str,
     call_budget: int,
 ) -> QueryCheck:
-    original_engine = Engine(original, call_budget=call_budget)
-    reordered_engine = reordered.engine(call_budget=call_budget)
+    original_engine = Engine(original, budget=Budget(calls=call_budget))
+    reordered_engine = reordered.engine(budget=Budget(calls=call_budget))
     try:
         original_solutions = original_engine.ask(query)
     except PrologError as error:

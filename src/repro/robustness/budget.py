@@ -1,7 +1,7 @@
 """Unified resource budgets: deadlines, counters, cooperative cancel.
 
 The paper's experiments bound runaway queries with *count* limits (the
-engine's ``max_depth`` / ``call_budget``), but counts alone cannot cap
+engine's ``max_depth`` and a call cap), but counts alone cannot cap
 the ordering machinery itself — Ledeniov & Markovitch stress that the
 cost of *ordering* must be bounded for subgoal reordering to be
 practical, and the calibrator literally runs user clauses. A
@@ -9,7 +9,8 @@ practical, and the calibrator literally runs user clauses. A
 
 * a **wall-clock deadline** (seconds from :meth:`Budget.start`),
 * a **call budget** (engine predicate calls charged via
-  :meth:`charge_call`),
+  :meth:`charge_call`; the one call cap of the system, raising
+  :class:`~repro.errors.CallBudgetExceeded`),
 * a **step budget** (engine body-loop iterations charged via
   :meth:`charge_step` — catches backtracking loops that make no new
   calls, e.g. ``between/3`` redo storms),
@@ -33,7 +34,12 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional
 
-from ..errors import BudgetExceededError, DeadlineExceeded, QueryCancelled
+from ..errors import (
+    BudgetExceededError,
+    CallBudgetExceeded,
+    DeadlineExceeded,
+    QueryCancelled,
+)
 
 __all__ = ["Budget", "CancelToken"]
 
@@ -161,7 +167,7 @@ class Budget:
         """Charge one predicate call; raise when a bound is hit."""
         self.calls += 1
         if self.max_calls is not None and self.calls > self.max_calls:
-            raise BudgetExceededError(
+            raise CallBudgetExceeded(
                 f"call budget of {self.max_calls} exhausted"
             )
         self._tick += 1

@@ -93,17 +93,14 @@ class QueryJob:
 
     snapshot: "Snapshot"
     query: str
-    #: Wall-clock deadline in seconds (None = none). The backend also
-    #: receives the server-built :class:`Budget` (which encodes the
-    #: same bounds plus the server-held cancel token) for in-process
-    #: execution; the process backend rebuilds an equivalent budget
-    #: inside the worker instead, since a token cannot cross the pipe.
-    timeout: Optional[float]
-    limit: Optional[int]
-    max_calls: Optional[int]
     table_all: bool
     max_depth: int
     eval_strategy: str
+    #: The server-built bounds: deadline, call cap, solution cap and
+    #: the server-held cancel token. The thread backend runs under it;
+    #: the process backend ships its deadline and caps to the worker,
+    #: which rebuilds an equivalent budget, since a token cannot cross
+    #: the pipe.
     budget: Budget
     recorder: Optional[StreamingRecorder] = None
 
@@ -273,8 +270,8 @@ def _process_worker_task(index: int, payload: tuple) -> tuple:
         generation,
         blob,
         query,
-        timeout,
-        limit,
+        deadline,
+        max_solutions,
         max_calls,
         table_all,
         max_depth,
@@ -296,7 +293,9 @@ def _process_worker_task(index: int, payload: tuple) -> tuple:
             database = pickle.loads(blob)
             _WORKER_PROGRAM["generation"] = generation
             _WORKER_PROGRAM["database"] = database
-        budget = Budget(deadline=timeout, calls=max_calls, solutions=limit)
+        budget = Budget(
+            deadline=deadline, calls=max_calls, solutions=max_solutions
+        )
         outcome = ("ok", _answer(
             database, query, budget, table_all, max_depth, eval_strategy
         ))
@@ -322,8 +321,8 @@ class ProcessExecutor(Executor):
     2. a worker that *crashes* mid-query is retried once on a fresh
        worker;
     3. if the retry also crashes, the request runs to completion on
-       the embedded :class:`ThreadedExecutor` and its response carries
-       ``degraded: "thread"``;
+       the embedded :class:`ThreadedExecutor` (``workers + 4`` threads)
+       and its response carries ``degraded: "thread"``;
     4. ``quarantine_after`` consecutive crashes take the process pool
        out of rotation entirely — every later request goes straight to
        the threaded fallback and ``stats()`` carries the warning.
@@ -339,18 +338,12 @@ class ProcessExecutor(Executor):
         workers: int = 8,
         grace: float = 0.5,
         max_depth: int = 1_000,
-        fallback: Optional[ThreadedExecutor] = None,
-        crash_retries: int = 1,
         quarantine_after: int = 3,
-        options: Optional[WatchdogOptions] = None,
     ):
         self.workers = max(1, workers)
         self.grace = grace
-        self.crash_retries = max(0, crash_retries)
         self.quarantine_after = max(1, quarantine_after)
-        self.fallback = fallback or ThreadedExecutor(
-            max_workers=self.workers + 4
-        )
+        self.fallback = ThreadedExecutor(max_workers=self.workers + 4)
         self.quarantined = False
         self.quarantine_reason: Optional[str] = None
         self.degraded_requests = 0
@@ -371,8 +364,7 @@ class ProcessExecutor(Executor):
             size=self.workers,
             initializer=_process_worker_init,
             initargs=(max_depth,),
-            options=options
-            or WatchdogOptions(task_timeout=30.0, poll_interval=0.02),
+            options=WatchdogOptions(task_timeout=30.0, poll_interval=0.02),
         )
         try:
             self._pool.start()
@@ -494,14 +486,15 @@ class ProcessExecutor(Executor):
         the caller should degrade.
         """
         generation = job.snapshot.generation
+        budget = job.budget
         # Kill at deadline + grace: the in-worker cooperative budget
         # answers well-behaved queries *at* the deadline; SIGKILL is
         # reserved for workers that sail past it non-cooperatively.
         kill_after = (
-            None if job.timeout is None else job.timeout + self.grace
+            None if budget.deadline is None else budget.deadline + self.grace
         )
         last_crash = "worker process died"
-        for attempt in range(1 + self.crash_retries):
+        for _attempt in range(2):  # one retry after a crash
             if self.quarantined:
                 raise _ProcessBackendFailed(last_crash)
             try:
@@ -519,9 +512,9 @@ class ProcessExecutor(Executor):
                 generation,
                 blob,
                 job.query,
-                job.timeout,
-                job.limit,
-                job.max_calls,
+                budget.deadline,
+                budget.max_solutions,
+                budget.max_calls,
                 job.table_all,
                 job.max_depth,
                 job.eval_strategy,
@@ -530,7 +523,7 @@ class ProcessExecutor(Executor):
                 outcome = self._pool.execute_on(worker, payload, kill_after)
             except WorkerTimeout:
                 raise DeadlineExceeded(
-                    f"deadline of {job.timeout:g}s exceeded "
+                    f"deadline of {budget.deadline:g}s exceeded "
                     f"(worker killed and respawned)"
                 )
             except WorkerCrashed as exc:

@@ -99,7 +99,13 @@ BUS_LIMIT = 100_000
 
 @dataclass
 class ServeOptions:
-    """Everything ``repro serve`` is configured by (CLI flags map 1:1)."""
+    """Everything ``repro serve`` is configured by.
+
+    Each field but ``max_depth`` and ``quarantine_after`` has a
+    ``repro serve`` flag of the same name (``unix_path`` is ``--unix``,
+    ``log_path`` ``--log``, ``eval_strategy`` ``--eval``); those two
+    are set from code only.
+    """
 
     host: str = "127.0.0.1"
     #: TCP port; 0 binds an ephemeral port (tests/benchmarks).
@@ -503,9 +509,6 @@ class QueryServer:
             job = QueryJob(
                 snapshot=snapshot,
                 query=query,
-                timeout=timeout,
-                limit=limit,
-                max_calls=self.options.max_calls,
                 table_all=self.options.table_all,
                 max_depth=self.options.max_depth,
                 eval_strategy=self.options.eval_strategy,

@@ -6,6 +6,7 @@ from repro.analysis.calibration import CalibrationOptions, EmpiricalCalibrator
 from repro.analysis.declarations import Declarations
 from repro.analysis.modes import parse_mode_string
 from repro.prolog import Database
+from repro.robustness import Budget
 
 
 def mode(text):
@@ -83,6 +84,28 @@ class TestMeasurement:
         # len/2 in mode (-,-) enumerates forever.
         assert calibrator.measure(("len", 2), mode("--")) is None
         assert calibrator.failures
+
+
+    COUNT = "count(0). count(N) :- N > 0, M is N - 1, count(M)."
+
+    def count_calibrator(self, call_budget):
+        # Four samples of 91 to 100 calls each.
+        return EmpiricalCalibrator(
+            Database.from_source(self.COUNT),
+            CalibrationOptions(call_budget=call_budget),
+            constants=["30", "31", "32", "33"],
+        )
+
+    def test_call_cap_is_per_sample(self):
+        stats = self.count_calibrator(150).measure(("count", 1), mode("+"))
+        assert stats is not None and stats.cost > 90
+        assert self.count_calibrator(50).measure(("count", 1), mode("+")) is None
+
+    def test_pair_deadline_reaches_every_sample(self):
+        calibrator = self.count_calibrator(150)
+        expired = Budget(deadline=0.0)
+        assert calibrator.measure(("count", 1), mode("+"), budget=expired) is None
+        assert calibrator.failures == [(("count", 1), mode("+"))]
 
 
 class TestCalibrate:

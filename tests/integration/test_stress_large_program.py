@@ -12,6 +12,7 @@ import pytest
 
 from repro.prolog import Database, Engine
 from repro.reorder.system import Reorderer
+from repro.robustness import Budget
 
 
 def build_large_source(
@@ -67,11 +68,11 @@ class TestScale:
         for rule in (0, 3, 7):
             query = f"top{rule}(A, C)"
             original = sorted(
-                s.key() for s in Engine(database, call_budget=2_000_000).ask(query)
+                s.key() for s in Engine(database, budget=Budget(calls=2_000_000)).ask(query)
             )
             reordered = sorted(
                 s.key()
-                for s in program.engine(call_budget=2_000_000).ask(query)
+                for s in program.engine(budget=Budget(calls=2_000_000)).ask(query)
             )
             assert original == reordered, query
 
@@ -80,8 +81,8 @@ class TestScale:
         original_total = reordered_total = 0
         for rule in range(8):
             query = f"top{rule}(A, C)"
-            _, original = Engine(database, call_budget=2_000_000).run(query)
-            _, reordered = program.engine(call_budget=2_000_000).run(query)
+            _, original = Engine(database, budget=Budget(calls=2_000_000)).run(query)
+            _, reordered = program.engine(budget=Budget(calls=2_000_000)).run(query)
             original_total += original.calls
             reordered_total += reordered.calls
         assert reordered_total <= original_total * 1.1
@@ -91,10 +92,10 @@ class TestScale:
         for constant in ("k0", "k7", "k24"):
             query = f"top1({constant}, C)"
             original = sorted(
-                s.key() for s in Engine(database, call_budget=2_000_000).ask(query)
+                s.key() for s in Engine(database, budget=Budget(calls=2_000_000)).ask(query)
             )
             reordered = sorted(
                 s.key()
-                for s in program.engine(call_budget=2_000_000).ask(query)
+                for s in program.engine(budget=Budget(calls=2_000_000)).ask(query)
             )
             assert original == reordered, query

@@ -3,6 +3,9 @@ samplers, log-bucketed histograms, mergeable aggregates and the
 sampling recorder's engine integration."""
 
 import json
+import os
+import subprocess
+import sys
 
 from repro.observability.streaming import (
     LogHistogram,
@@ -271,6 +274,35 @@ class TestStreamingRecorderEngine:
         record = samples[0].to_record()
         assert record["type"] == "sample"
         assert record["predicate"] in ("f/1", "g/1")
+
+    def test_reservoirs_do_not_depend_on_string_hashing(self):
+        # Each reservoir is seeded from its predicate; string hashing is
+        # salted per process, so two processes with different hash seeds
+        # must still keep the same samples once the ring has evicted.
+        script = (
+            "import json\n"
+            "from repro.observability.streaming import ("
+            "StreamingRecorder, attach_recorder)\n"
+            "from repro.prolog import Engine\n"
+            "engine = Engine.from_source("
+            "'count(0). count(N) :- N > 0, M is N - 1, count(M).')\n"
+            "recorder = attach_recorder("
+            "engine, StreamingRecorder(capacity=8, sample_every=1))\n"
+            "engine.ask('count(200)')\n"
+            "assert recorder.truncated\n"
+            "print(json.dumps([[s.indicator[0], s.depth, s.cost] "
+            "for s in recorder.samples()]))\n"
+        )
+        kept = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            output = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout
+            kept.append(json.loads(output))
+        assert len(kept[0]) > 8
+        assert kept[0] == kept[1]
 
     def test_summary_lines_report_rates(self):
         engine = Engine.from_source("f(1).")

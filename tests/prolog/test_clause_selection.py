@@ -18,6 +18,7 @@ from repro.observability.events import attach
 from repro.prolog import Clause, Database, Engine
 from repro.prolog.reader.parser import parse_term
 from repro.prolog.terms import Atom
+from tests.prolog.plan_oracle import without_scan_plans
 
 SOURCE = """
 edge(a, b). edge(b, c). edge(c, d). edge(a, d).
@@ -202,7 +203,7 @@ class TestInvalidation:
 
     @pytest.mark.parametrize(
         "knob, value",
-        [("indexing", False), ("index_argument", 1), ("scan_plans", False)],
+        [("indexing", False), ("index_argument", 1)],
     )
     def test_knob_change(self, knob, value):
         database = self.warm()
@@ -210,6 +211,16 @@ class TestInvalidation:
         assert [outcome(database, q) for q in QUERIES] == fresh_outcomes(
             SOURCE, **{knob: value}
         )
+
+    def test_warm_scan_plans_match_the_per_clause_loop(self):
+        database = self.warm()
+        database.indexing = False
+        reference = without_scan_plans(
+            Database.from_source(SOURCE, indexing=False)
+        )
+        assert [outcome(database, q) for q in QUERIES] == [
+            outcome(reference, q) for q in QUERIES
+        ]
 
     def test_indexing_change_moves_the_counters(self):
         database = self.warm()

@@ -12,9 +12,9 @@ from repro.prolog import (
     Struct,
     Trail,
     Var,
+    body_goals,
     compile_clause,
     first_arg_key,
-    flatten_conjunction,
     parse_term,
     split_clause,
 )
@@ -29,21 +29,21 @@ def compiled(text):
 
 class TestFlattenConjunction:
     def test_nested_chain(self):
-        goals = flatten_conjunction(parse_term("(a, b), (c, (d, e))"))
+        goals = body_goals(parse_term("(a, b), (c, (d, e))"))
         assert [g.name for g in goals] == ["a", "b", "c", "d", "e"]
 
     def test_single_goal(self):
-        goals = flatten_conjunction(parse_term("foo(X)"))
+        goals = body_goals(parse_term("foo(X)"))
         assert len(goals) == 1 and goals[0].name == "foo"
 
     def test_disjunction_not_flattened(self):
-        goals = flatten_conjunction(parse_term("a, (b ; c), d"))
+        goals = body_goals(parse_term("a, (b ; c), d"))
         assert [getattr(g, "name", None) for g in goals] == ["a", ";", "d"]
 
     def test_derefs_bound_variable(self):
         var = Var("G")
         var.ref = Struct(",", (Atom("a"), Atom("b")))
-        goals = flatten_conjunction(var)
+        goals = body_goals(var)
         assert [g.name for g in goals] == ["a", "b"]
 
 

@@ -9,6 +9,7 @@ idioms, cuts, negation, meta-predicates, and two classic puzzles.
 import pytest
 
 from repro.prolog import Engine
+from repro.robustness import Budget
 
 LIB = """
 append([], Xs, Xs).
@@ -205,7 +206,7 @@ class TestMiniZebra:
     """
 
     def test_unique_solution(self):
-        engine = Engine.from_source(self.SOURCE, call_budget=2_000_000)
+        engine = Engine.from_source(self.SOURCE, budget=Budget(calls=2_000_000))
         solutions = {str(s["H"]) for s in engine.ask("puzzle(H)")}
         assert len(solutions) == 1
         (solution,) = solutions

@@ -11,6 +11,7 @@ from repro.errors import (
 )
 from repro.prolog import Engine
 from repro.prolog.terms import Atom
+from repro.robustness import Budget
 
 
 FAMILY = """
@@ -149,7 +150,7 @@ class TestSafetyBounds:
             eng.succeeds("loop")
 
     def test_call_budget(self):
-        eng = engine(call_budget=3)
+        eng = engine(budget=Budget(calls=3))
         with pytest.raises(CallBudgetExceeded):
             eng.count_solutions("anc(tom, X)")
 
@@ -160,7 +161,7 @@ class TestSafetyBounds:
         # or budget overrun; either way the illegal mode is caught.
         eng = engine(
             "delete(X, [X | Y], Y). delete(U, [X | Y], [X | V]) :- delete(U, Y, V).",
-            call_budget=2_000,
+            budget=Budget(calls=2_000),
         )
         with pytest.raises((CallBudgetExceeded, DepthLimitExceeded)):
             eng.count_solutions("delete(a, L, R)")

@@ -112,7 +112,7 @@ class TestSafetyBoundsStayUncatchable:
             eng.succeeds("catch(loop, _, true)")
 
     def test_call_budget(self):
-        eng = engine("f(1). g :- f(_), g.", call_budget=50, max_depth=20)
+        eng = engine("f(1). g :- f(_), g.", budget=Budget(calls=50), max_depth=20)
         with pytest.raises((CallBudgetExceeded, DepthLimitExceeded)):
             eng.succeeds("catch(g, _, true)")
 

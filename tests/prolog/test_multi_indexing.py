@@ -13,6 +13,7 @@ from repro.observability import attach
 from repro.prolog import Database, Engine, parse_term
 from repro.prolog.database import Clause
 from repro.prolog.terms import Atom
+from tests.prolog.plan_oracle import without_scan_plans
 
 SOURCE = """
 rec(a, one, x).
@@ -31,8 +32,11 @@ COUNTERS = (
 )
 
 
-def counters_for(source, query, **db_kwargs):
-    engine = Engine(Database.from_source(source, **db_kwargs))
+def counters_for(source, query, plans=True, **db_kwargs):
+    database = Database.from_source(source, **db_kwargs)
+    if not plans:
+        without_scan_plans(database)
+    engine = Engine(database)
     solutions = engine.ask(query)
     return (
         {s.key() for s in solutions},
@@ -93,10 +97,12 @@ class TestCounterNeutrality:
     def test_scan_plans_byte_identical_counters(self):
         source = "\n".join(f"edge({i}, {(i + 1) % 200})." for i in range(200))
         source += "\njoin(A, C) :- edge(A, B), edge(B, C).\n"
+        database = Database.from_source(source, indexing=False)
+        assert database.select(("edge", 2), (5, 6))[4] is not None
         for query in ("join(1, C)", "edge(5, X)", "edge(X, 5)"):
             answers_plan, plan = counters_for(source, query, indexing=False)
             answers_loop, loop = counters_for(
-                source, query, indexing=False, scan_plans=False
+                source, query, plans=False, indexing=False
             )
             assert answers_plan == answers_loop
             assert plan == loop, f"counter drift on {query!r}"
@@ -105,17 +111,15 @@ class TestCounterNeutrality:
         # The bulk sentinel charge must behave exactly like the old
         # loop when the consumer stops at the first answer.
         source = "\n".join(f"d({i})." for i in range(50))
-        for scan_plans in (True, False):
-            engine = Engine(
-                Database.from_source(
-                    source, indexing=False, scan_plans=scan_plans
-                )
-            )
+        unifications = []
+        for plans in (True, False):
+            database = Database.from_source(source, indexing=False)
+            if not plans:
+                without_scan_plans(database)
+            engine = Engine(database)
             engine.ask("d(25)", limit=1)
-            if scan_plans:
-                reference = engine.metrics.unifications
-            else:
-                assert engine.metrics.unifications == reference
+            unifications.append(engine.metrics.unifications)
+        assert unifications[0] == unifications[1]
 
 
 class TestIndexEvents:

@@ -35,7 +35,7 @@ import sys
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import CallBudgetExceeded, ReproError
 from repro.observability.streaming import StreamingRecorder, attach_recorder
 from repro.programs import REGISTRY, corporate, family_tree
 from repro.prolog import Engine
@@ -196,10 +196,18 @@ def _source(side, program, reordered):
 
 
 def _run(engine, query, limit, calls):
-    """Run one query; the outcome is the error class name or None."""
+    """Run one query; the outcome is the error class name or None.
+
+    The fixture was captured when a Budget's call cap raised the plain
+    ``BudgetExceededError``; it now raises the subclass
+    ``CallBudgetExceeded`` (checked in ``tests/robustness/test_budget.py``),
+    which is recorded under the fixture's name.
+    """
     budget = None if calls is None else Budget(calls=calls)
     try:
         engine.ask(query, limit=limit, budget=budget)
+    except CallBudgetExceeded:
+        return "BudgetExceededError"
     except ReproError as exc:
         return type(exc).__name__
     return None

@@ -28,7 +28,6 @@ CONFIGURATIONS = (
     {},
     {"index_argument": 1},
     {"indexing": False},
-    {"indexing": False, "scan_plans": False},
 )
 
 VM_COUNTERS = (
@@ -217,8 +216,7 @@ class TestSelectionOracle:
         database = build(arity, heads, **configuration)
         check_database(database, arity, call)
         for knob, value in {
-            "indexing": True, "index_argument": "multi", "scan_plans": True,
-            **after,
+            "indexing": True, "index_argument": "multi", **after,
         }.items():
             setattr(database, knob, value)
         check_database(database, arity, call)

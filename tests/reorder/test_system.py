@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.modes import parse_mode_string
 from repro.prolog import Database, Engine
+from repro.reorder.pipeline.types import MAX_VERSIONS
 from repro.reorder.system import ReorderOptions, Reorderer
 
 
@@ -118,12 +119,27 @@ class TestOptions:
         kept = [str(c.body) for c in without.database.clauses(("f", 1))]
         assert kept == original_heads
 
+    @pytest.mark.parametrize("unfold_rounds", [0, 1])
+    def test_output_keeps_the_source_indexing(self, unfold_rounds):
+        database = Database.from_source(
+            "p(1). q(X) :- p(X). r(X) :- q(X), p(X).",
+            indexing=False, index_argument=1,
+        )
+        options = ReorderOptions(unfold_rounds=unfold_rounds)
+        output = Reorderer(database, options).reorder().database
+        assert (output.indexing, output.index_argument) == (False, 1)
+
     def test_max_versions_cap(self):
-        # Arity 3 => 8 modes > cap of 2 => reordered in place.
-        source = "t(A, B, C) :- p(A), p(B), p(C). p(1)."
-        program = reorder(source, max_versions=2)
-        assert program.database.defines(("t", 3))
-        assert len(program.database.clauses(("t", 3))) == 1
+        # Arity 5 => 32 legal modes > MAX_VERSIONS => reordered in place,
+        # although the modes would order the chain differently.
+        assert 2 ** 5 > MAX_VERSIONS
+        source = (
+            "t(A, B, C, D, E) :- r(A, B), r(B, C), r(C, D), r(D, E). "
+            "r(1, 2). r(2, 3). r(3, 4). r(4, 5). r(2, 1)."
+        )
+        program = reorder(source)
+        assert sorted(program.database.predicates()) == [("r", 2), ("t", 5)]
+        assert len(program.database.clauses(("t", 5))) == 1
 
 
 class TestSafety:

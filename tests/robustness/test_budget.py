@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import (
     BudgetExceededError,
+    CallBudgetExceeded,
     DeadlineExceeded,
     QueryCancelled,
 )
@@ -85,6 +86,47 @@ class TestCounters:
             eng.ask("nat(X), X == impossible")
 
 
+#: A tabled closure over a 30-edge chain: its fixpoint makes 33 calls,
+#: all but the first inside the tabled producer.
+CHAIN = ":- table path/2.\n" + "".join(
+    f"edge({i}, {i + 1}).\n" for i in range(30)
+) + """
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- path(X, Z), edge(Z, Y).
+"""
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["vm", "interpreter"])
+class TestOneCallCap:
+    """``Budget(calls=N)`` is the one call cap: the same class and
+    message wherever it trips (the process backend's twin is in
+    ``tests/serve/test_call_cap.py``)."""
+
+    def test_cap_raises_call_budget_exceeded(self, compiled):
+        engine = Engine(Database.from_source(NAT), compiled=compiled)
+        with pytest.raises(
+            CallBudgetExceeded, match=r"^call budget of 50 exhausted$"
+        ):
+            engine.ask("nat(X), X == impossible", budget=Budget(calls=50))
+
+    def test_cap_trips_inside_a_tabled_call(self, compiled):
+        engine = Engine(Database.from_source(CHAIN), compiled=compiled)
+        assert len(engine.ask("path(0, X)")) == 30
+        engine = Engine(Database.from_source(CHAIN), compiled=compiled)
+        with pytest.raises(
+            CallBudgetExceeded, match=r"^call budget of 20 exhausted$"
+        ):
+            engine.ask("path(0, X)", budget=Budget(calls=20))
+
+    def test_engine_default_budget_caps_every_query(self, compiled):
+        budget = Budget(calls=50)
+        engine = Engine(Database.from_source(NAT), compiled=compiled, budget=budget)
+        assert len(engine.ask("nat(X)", limit=10)) == 10
+        with pytest.raises(CallBudgetExceeded):
+            engine.ask("nat(X), X == impossible")
+        assert budget.calls == 51
+
+
 class TestCancelToken:
     def test_cancel_unwinds_with_query_cancelled(self):
         token = CancelToken()
@@ -125,6 +167,7 @@ class TestAskLimit:
 
 class TestExceptionTaxonomy:
     def test_family_relationships(self):
+        assert issubclass(CallBudgetExceeded, BudgetExceededError)
         assert issubclass(DeadlineExceeded, BudgetExceededError)
         assert issubclass(QueryCancelled, BudgetExceededError)
 
