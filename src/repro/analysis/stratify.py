@@ -168,11 +168,6 @@ class StratumInfo:
     eligible: bool
     #: Why not (empty when eligible); deduplicated, sorted.
     reasons: Tuple[str, ...]
-    #: Ground facts / proper rules across the component's clauses.
-    fact_count: int
-    rule_count: int
-    #: Does any clause negate a (lower-stratum) literal?
-    uses_negation: bool
 
 
 class Stratification:
@@ -219,9 +214,6 @@ def stratify(
         members = set(component)
         reasons: Set[str] = set()
         recursive = len(component) > 1
-        fact_count = 0
-        rule_count = 0
-        uses_negation = False
         for indicator in component:
             callees = graph.callees.get(indicator, set())
             if not recursive and indicator in callees:
@@ -229,12 +221,6 @@ def stratify(
             for clause in database.clauses(indicator):
                 info = analyze_clause(clause)
                 reasons.update(info.reasons)
-                if info.is_fact:
-                    fact_count += 1
-                else:
-                    rule_count += 1
-                if info.negatives:
-                    uses_negation = True
                 for literal in info.negatives:
                     if functor_indicator(literal) in members:
                         reasons.add(
@@ -262,9 +248,6 @@ def stratify(
                 recursive=recursive,
                 eligible=eligible,
                 reasons=tuple(sorted(reasons)),
-                fact_count=fact_count,
-                rule_count=rule_count,
-                uses_negation=uses_negation,
             )
         )
     return Stratification(strata)

@@ -132,7 +132,7 @@ class WarrenReorderer:
         when a body is ordered: ``"free"`` (queries arrive open) or
         ``"ground"`` (queries arrive fully instantiated).
         """
-        output = Database(indexing=self.database.indexing)
+        output = self.database.empty_like()
         for indicator in self.database.predicates():
             for clause in self.database.clauses(indicator):
                 goals = body_goals(clause.body)

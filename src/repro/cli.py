@@ -299,10 +299,6 @@ def command_run(args: argparse.Namespace) -> int:
         budget=_deadline_budget(args),
         eval_strategy=getattr(args, "eval_strategy", "topdown"),
     )
-    if getattr(args, "dump_bytecode", False):
-        from .prolog.vm import disassemble_database
-
-        print(disassemble_database(database), end="", file=sys.stderr)
     bus = recorder = None
     if args.profile or args.json:
         bus, recorder = _instrument(engine)
@@ -873,9 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="run a query against a file")
     run.add_argument("file")
     run.add_argument("query")
-    run.add_argument("--dump-bytecode", action="store_true",
-                     help="print the compiled bytecode of every predicate "
-                          "to stderr before running")
     _add_profile_flags(run)
     _add_table_flag(run)
     _add_eval_flag(run)

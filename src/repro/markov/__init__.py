@@ -1,7 +1,6 @@
 """The Markov-chain cost model (paper §VI): absorbing chains over clause
 bodies, closed-form formulas, and the whole-program cost propagation."""
 
-from .backend import BackendChoice, bottomup_cost_estimate, choose_backend
 from .chain import (
     AllSolutionsResult,
     ChainResult,
@@ -27,7 +26,6 @@ from .predicate_model import CostModel, head_match_probability
 
 __all__ = [
     "AllSolutionsResult",
-    "BackendChoice",
     "ChainResult",
     "CostModel",
     "GoalStats",
@@ -36,8 +34,6 @@ __all__ = [
     "all_solutions_cost_closed_form",
     "all_solutions_matrix",
     "all_solutions_visits_closed_form",
-    "bottomup_cost_estimate",
-    "choose_backend",
     "clamp_probability",
     "evaluate_sequence",
     "expected_cost_until_failure",

@@ -12,18 +12,25 @@ integration is ``Engine(eval_strategy="bottomup"|"auto")`` / the CLI's
 unchanged.
 """
 
-from .dispatch import BottomUpDispatcher, Materializer
+from .dispatch import (
+    BackendVerdict,
+    BottomUpDispatcher,
+    Materializer,
+    backend_verdict,
+)
 from .relation import Relation, ground_key
 from .rules import Literal, Rule, compile_rule
 from .seminaive import StratumStats, evaluate_component
 
 __all__ = [
+    "BackendVerdict",
     "BottomUpDispatcher",
     "Literal",
     "Materializer",
     "Relation",
     "Rule",
     "StratumStats",
+    "backend_verdict",
     "compile_rule",
     "evaluate_component",
     "ground_key",

@@ -18,19 +18,55 @@ clause indexes are dropped per edited predicate).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from ...analysis.callgraph import CallGraph
-from ...analysis.stratify import Stratification, analyze_clause, stratify
+from ...analysis.stratify import (
+    Stratification,
+    StratumInfo,
+    analyze_clause,
+    stratify,
+)
 from ..terms import Struct, Term, deref, term_is_ground
 from ..unify import unify
 from .relation import Relation, ground_key
 from .rules import compile_rule
 from .seminaive import StratumStats, evaluate_component
 
-__all__ = ["Materializer", "BottomUpDispatcher"]
+__all__ = [
+    "BackendVerdict",
+    "BottomUpDispatcher",
+    "Materializer",
+    "backend_verdict",
+]
 
 Indicator = Tuple[str, int]
+
+
+class BackendVerdict(NamedTuple):
+    """One stratum's evaluator under ``--eval=auto``, and why."""
+
+    #: ``"bottomup"`` or ``"topdown"``.
+    backend: str
+    #: One-line human-readable justification.
+    reason: str
+
+
+def backend_verdict(info: StratumInfo) -> BackendVerdict:
+    """The ``--eval=auto`` rule: an eligible recursive stratum goes
+    bottom-up (its materialization is finite, its SLD expansion need
+    not be); every other stratum goes top-down. Both the dispatcher
+    and the reorder report ask this one function."""
+    if not info.eligible:
+        return BackendVerdict("topdown", "; ".join(info.reasons))
+    if info.recursive:
+        return BackendVerdict(
+            "bottomup",
+            "recursive eligible stratum: materialization bounds re-derivation",
+        )
+    return BackendVerdict(
+        "topdown", "non-recursive eligible stratum: SLD is demand-driven"
+    )
 
 
 class Materializer:
@@ -110,10 +146,8 @@ class BottomUpDispatcher:
     """Routes eligible strata to the semi-naive backend per strategy.
 
     ``strategy="bottomup"`` selects every eligible stratum;
-    ``"auto"`` asks the cost model's structural rule
-    (:func:`repro.markov.backend.choose_backend` with no calibrated
-    stats): recursive eligible strata go bottom-up, the rest stay with
-    SLD resolution.
+    ``"auto"`` follows :func:`backend_verdict`: recursive eligible
+    strata go bottom-up, the rest stay with SLD resolution.
     """
 
     def __init__(self, strategy: str):
@@ -148,17 +182,7 @@ class BottomUpDispatcher:
         elif self.strategy == "bottomup":
             selected = True
         else:
-            from ...markov.backend import choose_backend
-
-            selected = (
-                choose_backend(
-                    eligible=True,
-                    recursive=info.recursive,
-                    fact_count=info.fact_count,
-                    rule_count=info.rule_count,
-                ).backend
-                == "bottomup"
-            )
+            selected = backend_verdict(info).backend == "bottomup"
         self._selected[indicator] = selected
         return selected
 

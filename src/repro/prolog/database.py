@@ -25,7 +25,6 @@ from .terms import (
     Var,
     deref,
     functor_indicator,
-    is_number,
     rename_term,
 )
 
@@ -159,8 +158,8 @@ def first_arg_key(term: Term):
     ``(str, int)`` pair, and an ``Atom`` equals only itself.
 
     Dispatches on the exact ``type()`` of the dereferenced term (the
-    per-call hot path); any other type takes the ``isinstance`` path of
-    :func:`_general_arg_key`.
+    per-call hot path). A term of any other type is unindexable too:
+    every clause stays a candidate.
     """
     kind = type(term)
     while kind is Var:
@@ -174,20 +173,7 @@ def first_arg_key(term: Term):
         return (term.name, len(term.args))
     if kind is int or kind is float:
         return (kind, term)
-    return _general_arg_key(term)
-
-
-def _general_arg_key(term: Term):
-    """:func:`first_arg_key` for a term of a type it does not dispatch."""
-    term = deref(term)
-    if isinstance(term, Atom):
-        return term
-    if isinstance(term, Var):
-        return None
-    if is_number(term):
-        return (type(term), term)
-    assert isinstance(term, Struct)
-    return (term.name, term.arity)
+    return None
 
 
 class _PositionIndex:
@@ -710,21 +696,27 @@ class Database:
         """Every clause as a term, predicate by predicate, in order."""
         return [clause.to_term() for clause in self.all_clauses()]
 
+    def empty_like(self) -> "Database":
+        """A clauseless database that reads, prints and indexes like
+        this one: the same ``indexing``, ``index_argument`` and operator
+        table. Directives and tabling stay with the caller to copy."""
+        other = Database(
+            indexing=self.indexing, index_argument=self.index_argument
+        )
+        other.operators = self.operators
+        return other
+
     def copy(self) -> "Database":
         """A shallow copy sharing Clause objects (they are immutable in use)
         and every predicate's selection entry: an entry holds its own
         clause tuple, so an edit on either side drops only that side's
         entry of the edited predicate."""
-        other = Database(
-            indexing=self.indexing,
-            index_argument=self.index_argument,
-        )
+        other = self.empty_like()
         for indicator, clauses in self._predicates.items():
             other._predicates[indicator] = list(clauses)
         other.directives = list(self.directives)
         other.tabled = set(self.tabled)
         other.warnings = list(self.warnings)
-        other.operators = self.operators
         other._entries = dict(self._entries)
         # The copy starts at generation 0 with every predicate unmarked,
         # matching a database consulted from scratch.

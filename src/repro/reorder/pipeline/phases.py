@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ...analysis.modes import Mode, ModeItem
+from ...analysis.modes import Mode
 from ...analysis.recursion import recursive_predicates, strongly_connected_components
 from ...analysis.stratify import stratify
-from ...markov.backend import choose_backend
+from ...prolog.bottomup.dispatch import backend_verdict
 from ...prolog.database import Clause, Database, body_goals, goals_to_body
 from ...prolog.terms import Atom, Struct, Term, deref, indicator_str
 from ...prolog.writer import clause_to_string
@@ -177,10 +177,7 @@ class OutputBuildPhase:
     def run(pipeline, versions: Dict[Tuple[Indicator, Mode], ModeVersion]) -> Database:
         reorderer = pipeline.reorderer
         source = reorderer.database
-        output = Database(
-            indexing=source.indexing, index_argument=source.index_argument
-        )
-        output.operators = source.operators
+        output = source.empty_like()
         dispatched: Set[Indicator] = set()
         for (indicator, _mode), version in versions.items():
             if version.name == indicator[0]:
@@ -210,16 +207,15 @@ class OutputBuildPhase:
 
 
 def select_backends(reorderer) -> None:
-    """Pick the evaluation backend (top-down SLD vs bottom-up
-    semi-naive) for every user predicate, per recursion component.
+    """Record the evaluation backend (top-down SLD or bottom-up
+    semi-naive) of every defined predicate, per recursion component.
 
     This is the reorder-time face of the ``--eval=auto`` dispatcher:
     the program is stratified with :func:`repro.analysis.stratify`,
-    and each stratum gets a :class:`~repro.markov.backend.BackendChoice`
-    verdict — datalog-eligible recursive strata go bottom-up, eligible
-    non-recursive strata are decided by comparing the cost model's
-    all-free-mode estimate against the materialization bound, and
-    everything else stays top-down. The verdicts land in
+    and each stratum gets the verdict of
+    :func:`~repro.prolog.bottomup.dispatch.backend_verdict`, the rule
+    the dispatcher runs: eligible recursive strata go bottom-up, every
+    other stratum stays top-down. The verdicts land in
     ``report.backends`` (and the JSONL report's ``backends`` key) so a
     user can see which strata the engine would materialize before ever
     running the program.
@@ -227,20 +223,10 @@ def select_backends(reorderer) -> None:
     database = reorderer.database
     stratification = stratify(database, reorderer.callgraph)
     for stratum in stratification.strata:
+        verdict = backend_verdict(stratum)
         for indicator in stratum.predicates:
-            if not database.defines(indicator):
-                continue
-            topdown = None
-            if stratum.eligible and not stratum.recursive:
-                mode = (ModeItem.MINUS,) * indicator[1]
-                topdown = reorderer.model.predicate_stats(indicator, mode)
-            reorderer.report.backends[indicator] = choose_backend(
-                eligible=stratum.eligible,
-                recursive=stratum.recursive,
-                fact_count=stratum.fact_count,
-                rule_count=stratum.rule_count,
-                topdown=topdown,
-            )
+            if database.defines(indicator):
+                reorderer.report.backends[indicator] = verdict
 
 
 def _same_clauses(first: List[Clause], second: List[Clause]) -> bool:

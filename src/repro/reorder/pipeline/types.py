@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...analysis.modes import Mode, mode_str
-from ...markov.backend import BackendChoice
 from ...markov.goal_stats import GoalStats
+from ...prolog.bottomup.dispatch import BackendVerdict
 from ...prolog.database import Clause, Database
 from ...prolog.engine import Engine
 from ...prolog.terms import indicator_str
@@ -136,10 +136,10 @@ class ReorderReport:
     #: per-predicate; see docs/ROBUSTNESS.md).
     degraded: Dict[Indicator, str] = field(default_factory=dict)
     #: Per-predicate evaluation-backend verdicts (see
-    #: :class:`~repro.markov.backend.BackendChoice` and
+    #: :func:`~repro.prolog.bottomup.dispatch.backend_verdict` and
     #: docs/EVALUATION.md): which strata the engine's ``--eval=auto``
-    #: dispatcher would materialize bottom-up instead of running SLD.
-    backends: Dict[Indicator, BackendChoice] = field(default_factory=dict)
+    #: dispatcher materializes bottom-up instead of running SLD.
+    backends: Dict[Indicator, BackendVerdict] = field(default_factory=dict)
     #: Chronological note log — lets the incremental pipeline replay a
     #: cached predicate's decision lines in their original order.
     _log: List[Tuple[Indicator, Mode, str]] = field(

@@ -111,6 +111,15 @@ class TestReorderProgram:
         reordered = WarrenReorderer(database).reorder_program()
         assert len(reordered.directives) == len(database.directives)
 
+    def test_output_keeps_the_source_operators_and_indexing(self):
+        database = Database.from_source(
+            ":- op(700, xfx, ===>).\na ===> b.\nreach(X, Y) :- X ===> Y.",
+            index_argument=1,
+        )
+        reordered = WarrenReorderer(database).reorder_program()
+        assert reordered.index_argument == 1
+        assert Engine(reordered).count_solutions("X ===> Y") == 1
+
     def test_ground_assumption(self):
         source = GEOGRAPHY + "\npair(A, B) :- country(A), borders(A, B).\n"
         database = Database.from_source(source)

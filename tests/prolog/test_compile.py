@@ -75,6 +75,10 @@ class TestSkeletonShape:
         assert compiled("p(X) :- q(X)").head_keys[0] is None
         assert compiled("p :- q").head_keys == ()
 
+    def test_foreign_type_is_unindexable(self):
+        # Not a Term type: no key, so every clause stays a candidate.
+        assert first_arg_key(True) is None
+
 
 class TestUnifyHead:
     def test_success_returns_frame(self):

@@ -145,6 +145,17 @@ class TestReordererIntegration:
         )
         assert program.report is not None
 
+    def test_unfolded_output_keeps_the_source_operators(self):
+        source = ":- op(700, xfx, ===>).\na ===> b.\nreach(X, Y) :- X ===> Y."
+        program = Reorderer(
+            Database.from_source(source), ReorderOptions(unfold_rounds=1)
+        ).reorder()
+        text = program.source()
+        assert text.startswith(":- op(700, xfx, ===>).\n")
+        assert "a ===> b." in text
+        reloaded = Engine(Database.from_source(text))
+        assert reloaded.count_solutions("reach(X, Y)") == 1
+
     def test_unfold_report_attached(self):
         reorderer = Reorderer(
             Database.from_source(GRAPH), ReorderOptions(unfold_rounds=1)

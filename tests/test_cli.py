@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_ERROR, build_parser, main
 
 PROGRAM = """
 :- entry(grandmother/2).
@@ -78,6 +78,30 @@ class TestRunCommand:
         assert "no" in capsys.readouterr().out
 
 
+class TestDisasmCommand:
+    def test_whole_file(self, program_file, capsys):
+        assert main(["disasm", program_file]) == 0
+        output = capsys.readouterr().out
+        for indicator in ("grandmother/2", "parent/2", "wife/2"):
+            assert f"% {indicator} (" in output
+        assert "CALL         grandparent/2" in output
+
+    def test_one_predicate(self, program_file, capsys):
+        assert main(["disasm", program_file, "--predicate", "parent/2"]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith("% parent/2 (2 clauses)")
+        assert "% grandmother/2" not in output
+
+    def test_bad_spec(self, program_file, capsys):
+        code = main(["disasm", program_file, "--predicate", "parent"])
+        assert code == EXIT_ERROR
+        assert "bad predicate spec" in capsys.readouterr().err
+
+    def test_unknown_predicate(self, program_file, capsys):
+        code = main(["disasm", program_file, "--predicate", "ghost/1"])
+        assert code == EXIT_ERROR
+        assert "unknown predicate ghost/1" in capsys.readouterr().err
+
 class TestCompareCommand:
     def test_improvement_reported(self, program_file, capsys):
         assert main(["compare", program_file, "grandmother(X, Y)"]) == 0
@@ -100,6 +124,34 @@ class TestCompareCommand:
         assert "ratio    : n/a" in captured.out
         assert "inf" not in captured.out
         assert "ratio is undefined" in captured.err
+
+
+class TestUserOperators:
+    SOURCE = (
+        ":- op(700, xfx, ===>).\na ===> b.\nb ===> c.\n"
+        "reach(X, Y) :- X ===> Y.\n"
+    )
+
+    @pytest.fixture()
+    def op_file(self, tmp_path):
+        path = tmp_path / "ops.pl"
+        path.write_text(self.SOURCE)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--unfold", "1"], ["--method", "warren"]]
+    )
+    def test_compare_parses_the_query_with_the_source_operators(
+        self, op_file, flags, capsys
+    ):
+        assert main(["compare", op_file, "X ===> Y", *flags]) == 0
+        assert "identical set" in capsys.readouterr().out
+
+    def test_unfolded_reorder_keeps_the_op_directive(self, op_file, capsys):
+        assert main(["reorder", op_file, "--unfold", "1"]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith(":- op(700, xfx, ===>).\n")
+        assert "a ===> b." in output
 
 
 class TestCompareExitCode:
